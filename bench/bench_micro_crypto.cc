@@ -14,7 +14,6 @@
 #include "common/rng.hh"
 #include "crypto/aes128.hh"
 #include "crypto/counter_mode.hh"
-#include "crypto/direct_encrypt.hh"
 #include "crypto/strong_fingerprint.hh"
 #include "sim/system.hh"
 
@@ -93,21 +92,6 @@ BM_CmeEncryptLine(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * kLineSize);
 }
 BENCHMARK(BM_CmeEncryptLine);
-
-void
-BM_DirectEncryptLine(benchmark::State &state)
-{
-    const DirectEncryptEngine engine(defaultAesKey());
-    Rng rng(2);
-    const Line line = Line::random(rng);
-    for (auto _ : state) {
-        Line ct = engine.encryptLine(line, 9);
-        benchmark::DoNotOptimize(ct);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kLineSize);
-}
-BENCHMARK(BM_DirectEncryptLine);
 
 void
 BM_Crc32Line(benchmark::State &state)

@@ -36,7 +36,7 @@ makeReducer(BitTechnique technique, const CounterModeEngine &cme)
 {
     switch (technique) {
       case BitTechnique::None:
-        return std::make_unique<NoneReducer>(cme);
+        return std::make_unique<NoneReducer>();
       case BitTechnique::Dcw:
         return std::make_unique<DcwReducer>(cme);
       case BitTechnique::Fnw:

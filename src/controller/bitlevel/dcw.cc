@@ -1,6 +1,6 @@
 /**
  * @file
- * NoneReducer and DcwReducer implementation.
+ * DcwReducer implementation.
  */
 
 #include "controller/bitlevel/dcw.hh"
@@ -11,27 +11,14 @@ namespace {
 const Line kZeroLine;
 }
 
-const Line &
-CipherImageReducer::image(LineAddr slot) const
-{
-    const Line *stored = images_.find(slot);
-    return stored ? *stored : kZeroLine; // Unwritten cells read as zero.
-}
-
-std::size_t
-NoneReducer::onWrite(LineAddr slot, const Line &new_pt,
-                     std::uint64_t counter)
-{
-    setImage(slot, cme_.encryptLine(new_pt, slot, counter));
-    return kLineBits;
-}
-
 std::size_t
 DcwReducer::onWrite(LineAddr slot, const Line &new_pt, std::uint64_t counter)
 {
     const Line new_ct = cme_.encryptLine(new_pt, slot, counter);
-    const std::size_t flips = image(slot).bitDistance(new_ct);
-    setImage(slot, new_ct);
+    // Unwritten cells read as zero (fresh PCM).
+    const Line *image = images_.find(slot);
+    const std::size_t flips = (image ? *image : kZeroLine).bitDistance(new_ct);
+    images_.refForWrite(slot) = new_ct;
     return flips;
 }
 

@@ -17,59 +17,38 @@
 
 namespace dewrite {
 
-/** Shared cell-image tracking for the ciphertext-image reducers. */
-class CipherImageReducer : public BitLevelReducer
+/** Baseline: every cell of the line is programmed on every write. */
+class NoneReducer : public BitLevelReducer
 {
   public:
+    std::size_t
+    onWrite(LineAddr, const Line &, std::uint64_t) override
+    {
+        return kLineBits;
+    }
+
+    BitTechnique technique() const override { return BitTechnique::None; }
+};
+
+/** DCW: program only the differing cells of the ciphertext image. */
+class DcwReducer : public BitLevelReducer
+{
+  public:
+    explicit DcwReducer(const CounterModeEngine &cme) : cme_(cme) {}
+
     void reserveSlots(std::uint64_t expected) override
     {
         images_.reserve(expected);
     }
 
-  protected:
-    explicit CipherImageReducer(const CounterModeEngine &cme) : cme_(cme) {}
-
-    /** Cell image of @p slot (zeros if never written — fresh PCM). */
-    const Line &image(LineAddr slot) const;
-
-    void
-    setImage(LineAddr slot, const Line &image)
-    {
-        images_.refForWrite(slot) = image;
-    }
-
-    const CounterModeEngine &cme_;
-
-  private:
-    DenseLineStore images_;
-};
-
-/** Baseline: every cell of the line is programmed on every write. */
-class NoneReducer : public CipherImageReducer
-{
-  public:
-    explicit NoneReducer(const CounterModeEngine &cme)
-        : CipherImageReducer(cme)
-    {}
-
-    std::size_t onWrite(LineAddr slot, const Line &new_pt,
-                        std::uint64_t counter) override;
-
-    BitTechnique technique() const override { return BitTechnique::None; }
-};
-
-/** DCW: program only the differing cells. */
-class DcwReducer : public CipherImageReducer
-{
-  public:
-    explicit DcwReducer(const CounterModeEngine &cme)
-        : CipherImageReducer(cme)
-    {}
-
     std::size_t onWrite(LineAddr slot, const Line &new_pt,
                         std::uint64_t counter) override;
 
     BitTechnique technique() const override { return BitTechnique::Dcw; }
+
+  private:
+    const CounterModeEngine &cme_;
+    DenseLineStore images_; //!< Cell image per slot; unwritten = zeros.
 };
 
 } // namespace dewrite

@@ -2,16 +2,18 @@
  * @file
  * DedupEngine implementation.
  *
- * Invariants maintained across operations:
- *  - invHash_[S] holds a hash  <=>  slot S stores live ciphertext
- *    <=>  the hash store has a record (hash(S), S)  <=>  FSM marks S used.
+ * Invariants maintained across operations (lines_[L] is line L's
+ * LineRecord):
+ *  - lines_[S] holds a hash  <=>  slot S stores live ciphertext
+ *    <=>  lines_[S] has a live record, chained under hash(S)
+ *    <=>  FSM marks S used.
  *  - A logical line L with valid data references exactly one slot:
- *    mapping_[L].realAddr when remapped, else its own slot L.
- *  - The hash-store reference count of slot S equals the number of
- *    logical lines referencing S (pinned once saturated at 255).
+ *    lines_[L].realAddr() when remapped, else its own slot L.
+ *  - The reference count of slot S equals the number of logical lines
+ *    referencing S (pinned once saturated at 255).
  *  - Slot S's encryption counter never decreases and is stored at its
- *    colocation home (mapping_[S] if null, else invHash_[S] if null,
- *    else the overflow store).
+ *    colocation home (the mapping entry of lines_[S] if null, else its
+ *    inverted-hash entry if null, else the overflow store).
  */
 
 #include "dedup/dedup_engine.hh"
@@ -71,9 +73,7 @@ DedupEngine::DedupEngine(const SystemConfig &config, NvmDevice &device,
     // nothing rehashes or grows a directory mid-run (DESIGN.md §5).
     const std::uint64_t hint = config.memory.workingSetHint();
     hashStore_.reserve(hint);
-    mapping_.reserve(config.memory.numLines);
-    invHash_.reserve(config.memory.numLines);
-    written_.reserve(config.memory.numLines);
+    lines_.reserve(config.memory.numLines);
     overflow_.reserve(64);
     majors_.reserve(64);
 }
@@ -93,22 +93,24 @@ DedupEngine::hashIndex(std::uint64_t hash) const
 std::uint64_t
 DedupEngine::counterOf(LineAddr slot) const
 {
-    // Fused single-walk probes: the colocation-home checks and the
-    // counter read share one table lookup each instead of two.
-    std::uint64_t counter;
-    if (mapping_.counterIfNotRemapped(slot, counter))
-        return counter;
-    if (invHash_.counterIfNoData(slot, counter))
-        return counter;
+    return counterOf(slot, lines_.at(slot));
+}
+
+std::uint64_t
+DedupEngine::counterOf(LineAddr slot, const LineRecord &record) const
+{
+    if (const std::uint64_t *home = record.counterHome())
+        return *home;
     const std::uint64_t *spilled = overflow_.find(slot);
     return spilled ? *spilled : 0;
 }
 
 void
-DedupEngine::setCounterOf(LineAddr slot, std::uint64_t counter)
+DedupEngine::setCounterOf(LineAddr slot, LineRecord &record,
+                          std::uint64_t counter)
 {
-    if (mapping_.trySetCounter(slot, counter) ||
-        invHash_.trySetCounter(slot, counter)) {
+    if (std::uint64_t *home = record.counterHome()) {
+        *home = counter;
         overflow_.erase(slot);
     } else {
         overflow_[slot] = counter;
@@ -120,9 +122,10 @@ DedupEngine::counterHome(LineAddr slot) const
 {
     if (slot == kInvalidAddr)
         return obs::CounterHome::None;
-    if (!mapping_.isRemapped(slot))
+    const LineRecord &record = lines_.at(slot);
+    if (!record.isRemapped())
         return obs::CounterHome::Mapping;
-    if (!invHash_.holdsData(slot))
+    if (!record.holdsData())
         return obs::CounterHome::InvertedHash;
     return obs::CounterHome::Overflow;
 }
@@ -264,10 +267,10 @@ DedupEngine::chargeCounterAccess(LineAddr slot, Time now)
     // The counter is read from its colocation home; when it has spilled
     // to the overflow store the probe still touches the mapping entry
     // first (that is where hardware would look).
-    const MetadataTable table = !mapping_.isRemapped(slot)
-        ? MetadataTable::Mapping
-        : (!invHash_.holdsData(slot) ? MetadataTable::InvertedHash
-                                     : MetadataTable::Mapping);
+    const LineRecord &record = lines_.at(slot);
+    const MetadataTable table = record.isRemapped() && !record.holdsData()
+        ? MetadataTable::InvertedHash
+        : MetadataTable::Mapping;
     return metadata_.access(table, slot, false, now).latency;
 }
 
@@ -321,9 +324,12 @@ DedupEngine::prepareBatch(const CtrlWriteRequest *requests,
         : operationalDetectMode();
     const bool strong_mode = mode == DetectPolicy::WeakStrong &&
         strong_fps && strong_ready;
-    const auto strongTier = [&](const HashEntry &entry) {
-        return strong_mode && entry.strongValid &&
-               entry.reference != HashStore::kMaxReference;
+    const auto strongTier = [&](LineAddr slot) {
+        if (!strong_mode)
+            return false;
+        const LineRecord &record = lines_.at(slot);
+        return record.strongValid() &&
+               record.reference() != HashStore::kMaxReference;
     };
     if (strong_ready) {
         for (std::size_t i = 0; i < count; ++i)
@@ -346,18 +352,16 @@ DedupEngine::prepareBatch(const CtrlWriteRequest *requests,
         for (std::size_t i = 0; i < count; ++i) {
             const LineAddr addr = requests[i].addr;
             hashStore_.prefetch(hashes[i]);
-            mapping_.prefetch(addr);
-            invHash_.prefetch(addr);
-            written_.prefetch(addr);
+            lines_.prefetch(addr);
             device_.prefetchForWrite(addr);
         }
     }
 
     // Round 3: walk the (now warm) buckets and prefetch each live
-    // candidate's stored line and metadata homes — again all members
-    // before any consumption. Strong-tier candidates skip the line
-    // prefetch (no confirmation read will touch them) but keep the
-    // metadata warm-ups: detect still probes their records.
+    // candidate's stored line and record — again all members before
+    // any consumption. Strong-tier candidates skip the line prefetch
+    // (no confirmation read will touch them) but keep the record
+    // warm-up: detect still probes it.
     {
         obs::StageTimer timer(stageSink(stageCycles_.probe));
         for (std::size_t i = 0; i < count; ++i) {
@@ -366,11 +370,10 @@ DedupEngine::prepareBatch(const CtrlWriteRequest *requests,
             for (std::size_t j = chain.size(); j-- > 0;) {
                 if (++probes > options_.maxChainProbe)
                     break;
-                const LineAddr slot = chain[j].realAddr;
-                if (!strongTier(chain[j]))
+                const LineAddr slot = chain[j];
+                if (!strongTier(slot))
                     device_.prefetchLine(slot);
-                mapping_.prefetch(slot);
-                invHash_.prefetch(slot);
+                lines_.prefetch(slot);
             }
         }
     }
@@ -414,9 +417,9 @@ DedupEngine::prepareBatch(const CtrlWriteRequest *requests,
                 num_pads >= pad_requests.size()) {
                 break;
             }
-            if (strongTier(chain[j]))
+            const LineAddr slot = chain[j];
+            if (strongTier(slot))
                 continue;
-            const LineAddr slot = chain[j].realAddr;
             pad_requests[num_pads++] = { slot, effectiveCounter(slot) };
         }
     }
@@ -472,12 +475,12 @@ DedupEngine::decryptStored(LineAddr slot)
 }
 
 bool
-DedupEngine::references(LineAddr init_addr, LineAddr slot) const
+DedupEngine::references(LineAddr init_addr, const LineRecord &line,
+                        LineAddr slot)
 {
-    if (mapping_.isRemapped(init_addr))
-        return mapping_.realAddr(init_addr) == slot;
-    return init_addr == slot && invHash_.holdsData(init_addr) &&
-           written_.contains(init_addr);
+    if (line.isRemapped())
+        return line.realAddr() == slot;
+    return init_addr == slot && line.holdsData() && line.written();
 }
 
 DetectOutcome
@@ -515,12 +518,12 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
         const ChainView chain = hashStore_.lookup(out.hash);
         unsigned scanned = 0;
         for (std::size_t i = chain.size(); i-- > 0;) {
-            const HashEntry &entry = chain[i];
+            const LineAddr slot = chain[i];
             if (++scanned > options_.maxChainProbe)
                 break;
-            if (entry.reference == HashStore::kMaxReference)
+            if (lines_.at(slot).reference() == HashStore::kMaxReference)
                 continue;
-            if (storedEquals(entry.realAddr, plaintext)) {
+            if (storedEquals(slot, plaintext)) {
                 missedByPna_.increment();
                 break;
             }
@@ -569,25 +572,29 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
     const ChainView chain = hashStore_.lookup(out.hash);
     unsigned probes = 0;
     for (std::size_t i = chain.size(); i-- > 0;) {
-        const HashEntry &entry = chain[i];
+        const LineAddr slot = chain[i];
         if (++probes > options_.maxChainProbe)
             break;
+        const LineRecord &candidate = lines_.at(slot);
+        const bool pinned =
+            candidate.reference() == HashStore::kMaxReference;
 
-        if (mode == DetectPolicy::WeakStrong && entry.strongValid &&
-            entry.reference != HashStore::kMaxReference) {
+        if (mode == DetectPolicy::WeakStrong && candidate.strongValid() &&
+            !pinned) {
             // Strong tier: one 128-bit compare replaces the candidate's
             // confirmation read. Unequal fingerprints *prove* the
             // contents differ; equal ones are trusted the way hardware
             // would trust them — the kernel's collision rate is
             // negligible, including against CRC-forged inputs.
-            const bool fp_equal = incomingStrongFp() == entry.strongFp;
+            const bool fp_equal =
+                incomingStrongFp() == *hashStore_.strongFpOf(slot);
             t += config_.timing.lineCompare;
             energy_ += config_.energy.compareLine;
             confirmReadsAvoided_.increment();
             strongFpHits_.increment();
             if (fp_equal) {
                 out.duplicate = true;
-                out.dupSlot = entry.realAddr;
+                out.dupSlot = slot;
                 break;
             }
             collisionMismatches_.increment();
@@ -596,8 +603,8 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
 
         // Fused compare against the stored ciphertext — equivalent to
         // decrypting and comparing, with no 256 B temporaries.
-        const bool matches = storedEquals(entry.realAddr, plaintext);
-        if (entry.reference == HashStore::kMaxReference) {
+        const bool matches = storedEquals(slot, plaintext);
+        if (pinned) {
             // Highly referenced line: pinned, not deduplicated against
             // (Section III-B2). Count the elimination this forgoes.
             if (matches)
@@ -610,7 +617,7 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
             // The functional comparison above only counts the silent
             // corruptions trusting the digest causes.
             out.duplicate = true;
-            out.dupSlot = entry.realAddr;
+            out.dupSlot = slot;
             if (!matches)
                 unsafeCorruptions_.increment();
             break;
@@ -622,9 +629,8 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
         // decryption is generated while the read is in flight. Only
         // the read's timing matters — the compare already ran against
         // the functional store.
-        const Time counter_latency = chargeCounterAccess(entry.realAddr,
-                                                         t);
-        const NvmTiming access = device_.readTimed(entry.realAddr, t);
+        const Time counter_latency = chargeCounterAccess(slot, t);
+        const NvmTiming access = device_.readTimed(slot, t);
         const Time otp_ready =
             t + counter_latency + config_.timing.aesLine;
         energy_ += config_.energy.aesLine();
@@ -647,14 +653,13 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
             } else {
                 {
                     obs::StageTimer timer(stageSink(stageCycles_.digest));
-                    cached = strongFingerprint(
-                        decryptStored(entry.realAddr));
+                    cached = strongFingerprint(decryptStored(slot));
                 }
                 strongFpComputes_.increment();
                 t += config_.timing.strongFpLine;
                 energy_ += config_.energy.strongFpLine;
             }
-            hashStore_.setStrongFp(out.hash, entry.realAddr, cached);
+            hashStore_.setStrongFp(slot, cached);
             strongFpCaches_.increment();
             metadata_.postUpdate(MetadataTable::HashStore,
                                  hashIndex(out.hash), t);
@@ -662,7 +667,7 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
 
         if (matches) {
             out.duplicate = true;
-            out.dupSlot = entry.realAddr;
+            out.dupSlot = slot;
             break;
         }
         collisionMismatches_.increment();
@@ -674,17 +679,17 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill,
 }
 
 Time
-DedupEngine::releaseOld(LineAddr init_addr, Time now)
+DedupEngine::releaseOld(LineAddr init_addr, const LineRecord &line,
+                        Time now)
 {
     Time t = now;
 
     LineAddr slot = kInvalidAddr;
-    if (mapping_.isRemapped(init_addr)) {
-        slot = mapping_.realAddr(init_addr);
+    if (line.isRemapped()) {
+        slot = line.realAddr();
         if (slot == kNoData)
             return t;
-    } else if (invHash_.holdsData(init_addr) &&
-               written_.contains(init_addr)) {
+    } else if (line.holdsData() && line.written()) {
         slot = init_addr;
     } else {
         return t; // Never written: nothing to release.
@@ -694,7 +699,8 @@ DedupEngine::releaseOld(LineAddr init_addr, Time now)
     // recovers the fingerprint of the data the logical line is leaving.
     t += metadata_.access(MetadataTable::InvertedHash, slot, false, t)
              .latency;
-    const std::uint64_t stale_hash = invHash_.hash(slot);
+    LineRecord &record = lines_.ref(slot);
+    const std::uint64_t stale_hash = record.hash();
     // The stale record's decrement is a posted read-modify-write: a
     // stale hash only yields a benign failed comparison later, so it
     // never blocks the write path.
@@ -702,15 +708,15 @@ DedupEngine::releaseOld(LineAddr init_addr, Time now)
                               hashIndex(stale_hash), t)
              .latency;
 
-    if (hashStore_.dropReference(stale_hash, slot)) {
+    if (hashStore_.dropReference(stale_hash, slot, record)) {
         // Last reference died: reclaim the slot. The counter keeps its
         // value across the free so a future allocation never reuses an
         // OTP.
-        const std::uint64_t counter = counterOf(slot);
-        invHash_.clearHash(slot);
+        const std::uint64_t counter = counterOf(slot, record);
+        record.clearHash();
         t += metadata_.access(MetadataTable::InvertedHash, slot, true, t)
                  .latency;
-        setCounterOf(slot, counter);
+        setCounterOf(slot, record, counter);
         fsm_.release(slot);
         t += metadata_.access(MetadataTable::Fsm, slot, true, t).latency;
     }
@@ -729,7 +735,8 @@ DedupEngine::commitDuplicate(LineAddr init_addr, const DetectOutcome &detect,
     WriteCommit commit;
     commit.slot = detect.dupSlot;
 
-    if (references(init_addr, detect.dupSlot)) {
+    LineRecord &line = lines_.ref(init_addr);
+    if (references(init_addr, line, detect.dupSlot)) {
         // Silent store: the logical line already points at this exact
         // content; nothing to update.
         silentStores_.increment();
@@ -745,18 +752,18 @@ DedupEngine::commitDuplicate(LineAddr init_addr, const DetectOutcome &detect,
     t += metadata_.access(MetadataTable::HashStore, hashIndex(detect.hash),
                           true, t)
              .latency;
-    if (!hashStore_.addReference(detect.hash, detect.dupSlot))
+    if (!hashStore_.addReference(lines_.ref(detect.dupSlot)))
         panic("reference saturated between detect and commit");
 
-    t = releaseOld(init_addr, t);
+    t = releaseOld(init_addr, line, t);
 
-    const std::uint64_t own_counter = counterOf(init_addr);
-    mapping_.remap(init_addr, detect.dupSlot);
+    const std::uint64_t own_counter = counterOf(init_addr, line);
+    line.remap(detect.dupSlot);
     t += metadata_.access(MetadataTable::Mapping, init_addr, true, t)
              .latency;
-    setCounterOf(init_addr, own_counter);
+    setCounterOf(init_addr, line, own_counter);
 
-    written_.insert(init_addr);
+    line.markWritten();
     dupCommits_.increment();
     commit.done = t;
     return commit;
@@ -772,10 +779,9 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
     Time t = now;
     LineAddr slot;
 
-    const bool owns_slot_exclusively =
-        !mapping_.isRemapped(init_addr) && invHash_.holdsData(init_addr) &&
-        written_.contains(init_addr) &&
-        hashStore_.reference(invHash_.hash(init_addr), init_addr) == 1;
+    LineRecord &line = lines_.ref(init_addr);
+    const bool owns_slot_exclusively = !line.isRemapped() &&
+        line.holdsData() && line.written() && line.reference() == 1;
 
     if (owns_slot_exclusively) {
         // In-place overwrite: only this logical line references its
@@ -784,29 +790,30 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
         slot = init_addr;
         t += metadata_.access(MetadataTable::InvertedHash, slot, true, t)
                  .latency;
-        const std::uint64_t stale_hash = invHash_.hash(slot);
+        const std::uint64_t stale_hash = line.hash();
         t += metadata_.postUpdate(MetadataTable::HashStore,
                                   hashIndex(stale_hash), t)
                  .latency;
-        if (!hashStore_.dropReference(stale_hash, slot))
+        if (!hashStore_.dropReference(stale_hash, slot, line))
             panic("exclusive slot's stale record did not die");
     } else {
-        t = releaseOld(init_addr, t);
+        t = releaseOld(init_addr, line, t);
         slot = fsm_.allocatePreferring(init_addr);
         if (slot == kInvalidAddr)
             fatal("NVM is full: no free slot for a unique write");
         t += metadata_.access(MetadataTable::Fsm, slot, true, t).latency;
+    }
+    LineRecord &slot_record = slot == init_addr ? line : lines_.ref(slot);
 
-        if (slot != init_addr && !mapping_.isRemapped(slot)) {
-            // The allocator handed us the slot of a never-written
-            // logical line; mark that line "remapped to nothing" so a
-            // read of it cannot alias the foreign data (DESIGN.md §5).
-            const std::uint64_t foreign_counter = counterOf(slot);
-            mapping_.remap(slot, kNoData);
-            t += metadata_.access(MetadataTable::Mapping, slot, true, t)
-                     .latency;
-            setCounterOf(slot, foreign_counter);
-        }
+    if (slot != init_addr && !slot_record.isRemapped()) {
+        // The allocator handed us the slot of a never-written logical
+        // line; mark that line "remapped to nothing" so a read of it
+        // cannot alias the foreign data (DESIGN.md §5).
+        const std::uint64_t foreign_counter = counterOf(slot, slot_record);
+        slot_record.remap(kNoData);
+        t += metadata_.access(MetadataTable::Mapping, slot, true, t)
+                 .latency;
+        setCounterOf(slot, slot_record, foreign_counter);
     }
 
     // Bump the slot counter and produce the ciphertext. A schedule that
@@ -837,32 +844,32 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
     // Install the new metadata; these cache updates overlap the 300 ns
     // cell write.
     Time tm = t;
-    invHash_.setHash(slot, hash);
+    slot_record.setHash(hash);
     tm += metadata_.access(MetadataTable::InvertedHash, slot, true, tm)
               .latency;
-    hashStore_.insert(hash, slot);
+    hashStore_.insert(hash, slot, slot_record);
     // A brand-new record: no-fetch allocate (nothing to read-modify).
     tm += metadata_.insertEntry(MetadataTable::HashStore, hashIndex(hash),
                                 tm)
               .latency;
 
     if (slot == init_addr) {
-        if (mapping_.isRemapped(init_addr))
-            mapping_.clearRemap(init_addr);
+        if (line.isRemapped())
+            line.clearRemap();
     } else {
         // Remapping evicts whatever the mapping entry held; when the
         // entry was null it was the colocation home of slot
         // init_addr's own counter (possibly protecting shared data
         // still stored there), which must move to a new home.
-        const std::uint64_t own_counter = counterOf(init_addr);
-        mapping_.remap(init_addr, slot);
-        setCounterOf(init_addr, own_counter);
+        const std::uint64_t own_counter = counterOf(init_addr, line);
+        line.remap(slot);
+        setCounterOf(init_addr, line, own_counter);
     }
     tm += metadata_.access(MetadataTable::Mapping, init_addr, true, tm)
               .latency;
-    setCounterOf(slot, minor_counter);
+    setCounterOf(slot, slot_record, minor_counter);
 
-    written_.insert(init_addr);
+    line.markWritten();
     uniqueCommits_.increment();
 
     commit.slot = slot;
@@ -881,11 +888,12 @@ DedupEngine::read(LineAddr init_addr, Time now, bool want_data)
              metadata_.access(MetadataTable::Mapping, init_addr, false, now)
                  .latency;
 
+    const LineRecord &line = lines_.at(init_addr);
     LineAddr slot;
     Time counter_latency = 0;
-    if (mapping_.isRemapped(init_addr)) {
+    if (line.isRemapped()) {
         out.remapped = true;
-        slot = mapping_.realAddr(init_addr);
+        slot = line.realAddr();
         if (slot == kNoData) {
             out.done = t;
             return out; // Sentinel: logical line holds no data.
@@ -894,8 +902,7 @@ DedupEngine::read(LineAddr init_addr, Time now, bool want_data)
         // which costs a second metadata access.
         counter_latency = chargeCounterAccess(slot, t);
     } else {
-        if (!written_.contains(init_addr) ||
-            !invHash_.holdsData(init_addr)) {
+        if (!line.written() || !line.holdsData()) {
             out.done = t;
             return out; // Never written: reads as zero.
         }

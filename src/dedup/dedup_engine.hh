@@ -7,6 +7,8 @@
  * exact and reads round-trip — while charging all timing and traffic
  * through the metadata cache and the NVM device, so the same object
  * serves both correctness tests and the paper's performance experiments.
+ * The mapping and inverted-hash entries, the written flags and the
+ * hash-store records share one LineRecord per line (line_table.hh).
  *
  * Counter colocation (Section III-C) is centralized here: the per-slot
  * encryption counter lives in whichever of mapping[S] / invertedHash[S]
@@ -30,7 +32,6 @@
 #include "common/fast_div.hh"
 #include "common/flat_map.hh"
 #include "common/line.hh"
-#include "common/paged_array.hh"
 #include "common/stats.hh"
 #include "common/timing.hh"
 #include "common/types.hh"
@@ -46,10 +47,9 @@
 #include "obs/metric_registry.hh"
 #include "obs/stage_profile.hh"
 #include "obs/trace_ring.hh"
-#include "dedup/address_mapping.hh"
 #include "dedup/free_space.hh"
 #include "dedup/hash_store.hh"
-#include "dedup/inverted_hash.hh"
+#include "dedup/line_table.hh"
 
 namespace dewrite {
 
@@ -201,8 +201,8 @@ class DedupEngine
      *  1. fingerprint every member with the slice-by-8 CRC kernel,
      *     storing the digests into @p hashes (pass each back to
      *     detect() as @p precomputed_hash);
-     *  2. prefetch every member's hash-store bucket, mapping /
-     *     inverted-hash / written entries, and NVM store pages;
+     *  2. prefetch every member's hash-store bucket, line record,
+     *     and NVM store pages;
      *  3. against the warmed buckets, prefetch each live candidate's
      *     stored line, then batch-generate the pads the members will
      *     need (confirm pads for candidates, a predicted in-place
@@ -259,8 +259,8 @@ class DedupEngine
 
     /** @{ Structure access for tests and benches. */
     const HashStore &hashStore() const { return hashStore_; }
-    const AddressMappingTable &mapping() const { return mapping_; }
-    const InvertedHashTable &invertedHash() const { return invHash_; }
+    /** Per-line mapping / inverted-hash / written / record state. */
+    const LineTable &lines() const { return lines_; }
     const FreeSpaceTable &freeSpace() const { return fsm_; }
     /** @} */
 
@@ -346,7 +346,7 @@ class DedupEngine
     /** Recovery rebuilds the derived structures in place. */
     friend class RecoveryManager;
 
-    /** The audit layer reads written_/overflow_ (DESIGN.md §5e); the
+    /** The audit layer reads overflow_ (DESIGN.md §5e); the
      *  test peer corrupts tables deliberately to prove the auditor
      *  names the right invariant. */
     friend class MetadataAuditor;
@@ -362,8 +362,15 @@ class DedupEngine
     /** Effective OTP counter of @p slot (major ‖ stored minor). */
     std::uint64_t effectiveCounter(LineAddr slot) const;
 
-    /** Stores @p counter at slot @p slot's current colocation home. */
-    void setCounterOf(LineAddr slot, std::uint64_t counter);
+    /** counterOf() for slot @p slot, whose record is @p record. */
+    std::uint64_t counterOf(LineAddr slot, const LineRecord &record) const;
+
+    /**
+     * Stores @p counter at slot @p slot's current colocation home;
+     * @p record is the slot's record.
+     */
+    void setCounterOf(LineAddr slot, LineRecord &record,
+                      std::uint64_t counter);
 
     /**
      * Charges the metadata access that fetches slot @p slot's counter
@@ -372,15 +379,20 @@ class DedupEngine
     Time chargeCounterAccess(LineAddr slot, Time now);
 
     /**
-     * Drops logical @p init_addr's reference to whatever it currently
-     * points at, reclaiming the slot and cleaning the stale hash if the
-     * last reference died. Returns the time metadata work finished.
-     * The caller must subsequently rewrite mapping[init_addr].
+     * Drops logical @p init_addr's reference (its record is @p line) to
+     * whatever it currently points at, reclaiming the slot and cleaning
+     * the stale hash if the last reference died. Returns the time
+     * metadata work finished. The caller must subsequently rewrite
+     * mapping[init_addr].
      */
-    Time releaseOld(LineAddr init_addr, Time now);
+    Time releaseOld(LineAddr init_addr, const LineRecord &line, Time now);
 
-    /** True iff logical @p init_addr currently references @p slot. */
-    bool references(LineAddr init_addr, LineAddr slot) const;
+    /**
+     * True iff logical @p init_addr, whose record is @p line, currently
+     * references @p slot.
+     */
+    static bool references(LineAddr init_addr, const LineRecord &line,
+                           LineAddr slot);
 
     /** Hash-store index used for metadata-cache block placement. */
     std::uint64_t hashIndex(std::uint64_t hash) const;
@@ -438,9 +450,8 @@ class DedupEngine
     FastDiv hashIndexDiv_; //!< hash % numLines on every store probe.
 
     Fingerprinter fingerprinter_;
-    HashStore hashStore_;
-    AddressMappingTable mapping_;
-    InvertedHashTable invHash_;
+    LineTable lines_;
+    HashStore hashStore_{ lines_ };
     FreeSpaceTable fsm_;
 
     /** Counters homeless in both tables (rare corner; see DESIGN.md). */
@@ -452,9 +463,6 @@ class DedupEngine
      * hold the shared major alongside the page's counters.
      */
     FlatMap<LineAddr, std::uint64_t> majors_;
-
-    /** Logical lines ever written (functional validity only). */
-    DenseAddrSet written_;
 
     /** Host-side memo of generated OTPs (pure optimization). */
     PadCache padCache_;

@@ -12,244 +12,198 @@
 namespace dewrite {
 
 ChainView
+HashStore::view(const Chain &chain) const
+{
+    if (chain.count <= Chain::kInline)
+        return ChainView(chain.inlineSlots, chain.count);
+    return ChainView(spills_[chain.spillSlot]);
+}
+
+ChainView
 HashStore::lookup(std::uint64_t hash) const
 {
     const Chain *chain = chains_.find(hash);
-    if (!chain)
-        return ChainView();
-    const std::size_t head =
-        std::min<std::size_t>(chain->count, Chain::kInline);
-    if (chain->count <= Chain::kInline)
-        return ChainView(chain->inlineEntries, head, nullptr, 0);
-    const std::vector<HashEntry> &spill = spills_[chain->spillSlot];
-    return ChainView(chain->inlineEntries, head, spill.data(),
-                     spill.size());
-}
-
-HashStore::Locator
-HashStore::locate(std::uint64_t hash, LineAddr real_addr) const
-{
-    Locator loc{ chains_.findIndex(hash), kNpos };
-    if (loc.chainIdx == kNpos)
-        return loc;
-    const Chain &chain = chains_.valueAt(loc.chainIdx);
-    const std::size_t head =
-        std::min<std::size_t>(chain.count, Chain::kInline);
-    for (std::size_t i = 0; i < head; ++i) {
-        if (chain.inlineEntries[i].realAddr == real_addr) {
-            loc.entryIdx = i;
-            return loc;
-        }
-    }
-    if (chain.count > Chain::kInline) {
-        const std::vector<HashEntry> &spill = spills_[chain.spillSlot];
-        for (std::size_t i = 0; i < spill.size(); ++i) {
-            if (spill[i].realAddr == real_addr) {
-                loc.entryIdx = Chain::kInline + i;
-                return loc;
-            }
-        }
-    }
-    return loc;
-}
-
-HashEntry &
-HashStore::entryAt(Chain &chain, std::size_t i)
-{
-    if (i < Chain::kInline)
-        return chain.inlineEntries[i];
-    return spills_[chain.spillSlot][i - Chain::kInline];
+    return chain ? view(*chain) : ChainView();
 }
 
 void
-HashStore::appendEntry(Chain &chain, HashEntry entry)
+HashStore::append(Chain &chain, LineAddr slot)
 {
     if (chain.count < Chain::kInline) {
-        chain.inlineEntries[chain.count] = entry;
-    } else {
-        if (chain.count == Chain::kInline) {
-            // Third entry for this hash: take a spill vector from the
-            // pool (or grow it) rather than allocating per chain.
-            if (freeSpills_.empty()) {
-                chain.spillSlot =
-                    static_cast<std::uint32_t>(spills_.size());
-                // dewrite-analyze: allow(hot-path-purity) spill-pool growth, only when a hash chain
-                // exceeds its two inline slots (rare)
-                spills_.emplace_back();
-            } else {
-                chain.spillSlot = freeSpills_.back();
-                freeSpills_.pop_back();
-            }
-        }
-        // dewrite-analyze: allow(hot-path-purity) spill-vector append, rare (chains > 2 entries)
-        spills_[chain.spillSlot].push_back(entry);
+        chain.inlineSlots[chain.count++] = slot;
+        return;
     }
+    if (chain.count == Chain::kInline) {
+        // Third slot for this hash: the whole chain moves to a spill
+        // vector from the pool (or a new one) rather than allocating
+        // per chain.
+        if (freeSpills_.empty()) {
+            chain.spillSlot = static_cast<std::uint32_t>(spills_.size());
+            // dewrite-analyze: allow(hot-path-purity) spill-pool growth, only when a hash chain
+            // exceeds its two inline slots (rare)
+            spills_.emplace_back();
+        } else {
+            chain.spillSlot = freeSpills_.back();
+            freeSpills_.pop_back();
+        }
+        // dewrite-analyze: allow(hot-path-purity) a recycled spill vector keeps its capacity
+        spills_[chain.spillSlot].assign(chain.inlineSlots,
+                                        chain.inlineSlots + Chain::kInline);
+    }
+    // dewrite-analyze: allow(hot-path-purity) spill-vector append, rare (chains > 2 entries)
+    spills_[chain.spillSlot].push_back(slot);
     ++chain.count;
 }
 
 void
-HashStore::removeEntry(Chain &chain, std::size_t i)
+HashStore::remove(Chain &chain, LineAddr slot)
 {
-    std::vector<HashEntry> *spill =
-        chain.count > Chain::kInline ? &spills_[chain.spillSlot] : nullptr;
-    if (i < Chain::kInline) {
-        // Shift the inline tail down, then pull the oldest spilled
-        // entry in behind it, keeping append order intact.
-        for (std::size_t j = i + 1;
-             j < std::min<std::size_t>(chain.count, Chain::kInline); ++j)
-            chain.inlineEntries[j - 1] = chain.inlineEntries[j];
-        if (spill) {
-            chain.inlineEntries[Chain::kInline - 1] = spill->front();
-            spill->erase(spill->begin());
-        }
-    } else {
-        spill->erase(spill->begin() +
-                     static_cast<std::ptrdiff_t>(i - Chain::kInline));
+    // Dying records sit near the chain's young end (its old end is
+    // pinned records), so search newest-first.
+    const ChainView slots = view(chain);
+    std::size_t i = slots.size();
+    do {
+        if (i == 0)
+            panic("hash store: live slot %llu missing from its chain",
+                  static_cast<unsigned long long>(slot));
+    } while (slots[--i] != slot);
+
+    if (chain.count <= Chain::kInline) {
+        for (std::size_t j = i + 1; j < chain.count; ++j)
+            chain.inlineSlots[j - 1] = chain.inlineSlots[j];
+        --chain.count;
+        return;
     }
-    if (spill && spill->empty()) {
+    std::vector<LineAddr> &spill = spills_[chain.spillSlot];
+    spill.erase(spill.begin() + static_cast<std::ptrdiff_t>(i));
+    if (--chain.count == Chain::kInline) {
+        // Back to the inline buffer; the vector returns to the pool.
+        std::copy(spill.begin(), spill.end(), chain.inlineSlots);
+        spill.clear();
         // dewrite-analyze: allow(hot-path-purity) spill-slot recycling, rare (chain shrank below 3)
         freeSpills_.push_back(chain.spillSlot);
         chain.spillSlot = 0;
     }
-    --chain.count;
 }
 
 void
-HashStore::insert(std::uint64_t hash, LineAddr real_addr)
+HashStore::insert(std::uint64_t hash, LineAddr slot, LineRecord &record)
 {
-    auto [chain, inserted] = chains_.tryEmplace(hash);
-    if (!inserted) {
-        const std::size_t head =
-            std::min<std::size_t>(chain->count, Chain::kInline);
-        for (std::size_t i = 0; i < head; ++i) {
-            if (chain->inlineEntries[i].realAddr == real_addr)
-                panic("hash store: duplicate insert of slot %llu",
-                      static_cast<unsigned long long>(real_addr));
-        }
-        if (chain->count > Chain::kInline) {
-            for (const HashEntry &entry : spills_[chain->spillSlot]) {
-                if (entry.realAddr == real_addr)
-                    panic("hash store: duplicate insert of slot %llu",
-                          static_cast<unsigned long long>(real_addr));
-            }
-        }
-    }
-    appendEntry(*chain, { real_addr, 1 });
+    if (record.live())
+        panic("hash store: slot %llu already has a live record",
+              static_cast<unsigned long long>(slot));
+    record.reference_ = 1;
+    record.strongValid_ = false;
+    append(*chains_.tryEmplace(hash).first, slot);
     ++size_;
 }
 
 bool
-HashStore::addReference(std::uint64_t hash, LineAddr real_addr)
+HashStore::addReference(LineRecord &record)
 {
-    const Locator loc = locate(hash, real_addr);
-    if (loc.chainIdx == kNpos)
-        panic("hash store: addReference on absent hash 0x%llx",
-              static_cast<unsigned long long>(hash));
-    if (loc.entryIdx == kNpos)
-        panic("hash store: addReference on absent slot %llu",
-              static_cast<unsigned long long>(real_addr));
-    HashEntry &entry =
-        entryAt(chains_.valueAt(loc.chainIdx), loc.entryIdx);
-    if (entry.reference == kMaxReference) {
+    if (!record.live())
+        panic("hash store: addReference on a slot with no live record");
+    if (record.reference_ == kMaxReference) {
         saturationRefusals_.increment();
         return false;
     }
-    ++entry.reference;
+    ++record.reference_;
     return true;
 }
 
 bool
-HashStore::dropReference(std::uint64_t hash, LineAddr real_addr)
+HashStore::dropReference(std::uint64_t hash, LineAddr slot,
+                         LineRecord &record)
 {
-    const Locator loc = locate(hash, real_addr);
-    if (loc.chainIdx == kNpos)
-        panic("hash store: dropReference on absent hash 0x%llx",
-              static_cast<unsigned long long>(hash));
-    if (loc.entryIdx == kNpos)
+    if (!record.live())
         panic("hash store: dropReference on absent slot %llu",
-              static_cast<unsigned long long>(real_addr));
-    Chain &chain = chains_.valueAt(loc.chainIdx);
-    HashEntry &entry = entryAt(chain, loc.entryIdx);
+              static_cast<unsigned long long>(slot));
     // A saturated count no longer tracks the true reference number,
     // so it is pinned: the record outlives its references rather
     // than risking premature reclamation.
-    if (entry.reference == kMaxReference)
+    if (record.reference_ == kMaxReference)
         return false;
-    if (--entry.reference > 0)
+    if (--record.reference_ > 0)
         return false;
-    removeEntry(chain, loc.entryIdx);
+    record.strongValid_ = false;
+    const std::size_t idx = chains_.findIndex(hash);
+    if (idx == FlatMap<std::uint64_t, Chain>::npos)
+        panic("hash store: dropReference on absent hash 0x%llx",
+              static_cast<unsigned long long>(hash));
+    Chain &chain = chains_.valueAt(idx);
+    remove(chain, slot);
     --size_;
     if (chain.count == 0)
-        chains_.eraseIndex(loc.chainIdx);
+        chains_.eraseIndex(idx);
     return true;
 }
 
-void
-HashStore::setStrongFp(std::uint64_t hash, LineAddr real_addr,
-                       const StrongFp &fp)
+std::uint8_t
+HashStore::reference(std::uint64_t hash, LineAddr slot) const
 {
-    const Locator loc = locate(hash, real_addr);
-    if (loc.entryIdx == kNpos)
-        panic("hash store: setStrongFp on absent record (hash 0x%llx, "
-              "slot %llu)",
-              static_cast<unsigned long long>(hash),
-              static_cast<unsigned long long>(real_addr));
-    HashEntry &entry =
-        entryAt(chains_.valueAt(loc.chainIdx), loc.entryIdx);
-    entry.strongFp = fp;
-    entry.strongValid = true;
+    const LineRecord &record = lines_.at(slot);
+    if (!record.live())
+        return 0;
+    const ChainView slots = lookup(hash);
+    return std::find(slots.begin(), slots.end(), slot) == slots.end()
+        ? 0
+        : record.reference();
+}
+
+void
+HashStore::setStrongFp(LineAddr slot, const StrongFp &fp)
+{
+    LineRecord &record = lines_.ref(slot);
+    if (!record.live())
+        panic("hash store: setStrongFp on slot %llu with no live record",
+              static_cast<unsigned long long>(slot));
+    strongFps_.ref(slot) = fp;
+    record.strongValid_ = true;
 }
 
 const StrongFp *
-HashStore::strongFpOf(std::uint64_t hash, LineAddr real_addr) const
+HashStore::strongFpOf(LineAddr slot) const
 {
-    const Locator loc = locate(hash, real_addr);
-    if (loc.entryIdx == kNpos)
-        return nullptr;
-    const HashEntry &entry =
-        const_cast<HashStore *>(this)->entryAt(
-            const_cast<Chain &>(chains_.valueAt(loc.chainIdx)),
-            loc.entryIdx);
-    return entry.strongValid ? &entry.strongFp : nullptr;
-}
-
-std::uint8_t
-HashStore::reference(std::uint64_t hash, LineAddr real_addr) const
-{
-    const Locator loc = locate(hash, real_addr);
-    if (loc.entryIdx == kNpos)
-        return 0;
-    return const_cast<HashStore *>(this)
-        ->entryAt(const_cast<Chain &>(chains_.valueAt(loc.chainIdx)),
-                  loc.entryIdx)
-        .reference;
+    const LineRecord &record = lines_.at(slot);
+    return record.live() && record.strongValid() ? strongFps_.find(slot)
+                                                 : nullptr;
 }
 
 void
-HashStore::restore(std::uint64_t hash, LineAddr real_addr,
+HashStore::restore(std::uint64_t hash, LineAddr slot,
                    std::uint64_t references)
 {
-    const std::uint8_t clamped = static_cast<std::uint8_t>(
+    LineRecord &record = lines_.ref(slot);
+    if (record.live())
+        panic("hash store: duplicate restore of slot %llu",
+              static_cast<unsigned long long>(slot));
+    if (references == 0)
+        panic("hash store: restore of slot %llu with no references",
+              static_cast<unsigned long long>(slot));
+    record.reference_ = static_cast<std::uint8_t>(
         std::min<std::uint64_t>(references, kMaxReference));
-    auto [chain, inserted] = chains_.tryEmplace(hash);
-    if (!inserted) {
-        const std::size_t head =
-            std::min<std::size_t>(chain->count, Chain::kInline);
-        for (std::size_t i = 0; i < head; ++i) {
-            if (chain->inlineEntries[i].realAddr == real_addr)
-                panic("hash store: duplicate restore of slot %llu",
-                      static_cast<unsigned long long>(real_addr));
-        }
-        if (chain->count > Chain::kInline) {
-            for (const HashEntry &entry : spills_[chain->spillSlot]) {
-                if (entry.realAddr == real_addr)
-                    panic("hash store: duplicate restore of slot %llu",
-                          static_cast<unsigned long long>(real_addr));
-            }
-        }
-    }
-    appendEntry(*chain, { real_addr, clamped });
+    record.strongValid_ = false;
+    append(*chains_.tryEmplace(hash).first, slot);
     ++size_;
+}
+
+void
+HashStore::clear()
+{
+    // dewrite-lint: allow(unsorted-iteration) every record is reset
+    chains_.forEach([&](std::uint64_t, const Chain &chain) {
+        for (const LineAddr slot : view(chain)) {
+            LineRecord &record = lines_.ref(slot);
+            record.reference_ = 0;
+            record.strongValid_ = false;
+        }
+    });
+    chains_.clear();
+    spills_.clear();
+    freeSpills_.clear();
+    strongFps_ = PagedArray<StrongFp>();
+    size_ = 0;
+    saturationRefusals_.reset();
 }
 
 std::size_t

@@ -2,88 +2,74 @@
  * @file
  * The hash table for duplication detection (Section III-B2).
  *
- * Maps the CRC-32 fingerprint of every valid line in memory to the slot
- * holding that line and an 8-bit reference count (how many logical
- * addresses map to the slot). CRC-32 collides, so one hash can chain
- * several slots whose contents differ; the engine confirms candidates
- * with a read-and-compare. Reference counts saturate at 255: a line that
- * reaches 255 references is pinned as "highly referenced" and further
- * duplicates of it are written normally rather than deduplicated, which
- * bounds the field width at the cost of a few missed eliminations.
+ * Maps the CRC-32 fingerprint of every valid line in memory to the
+ * slots holding that content, oldest first. CRC-32 collides, so one
+ * hash can chain several slots whose contents differ; the engine
+ * confirms candidates with a read-and-compare, probing newest-first.
  *
- * Storage is a FlatMap from hash to a small-buffer chain: the one- and
- * two-entry chains that dominate in practice (CRC collisions are rare,
- * Figure 6) live inline in the map slot, and only a genuinely colliding
- * hash spills to a pooled vector. Chain order is append order and erase
- * preserves it, so the engine's newest-first probe sees exactly the
- * sequence the old vector-per-hash layout produced. Every mutation
- * probes the table once.
+ * Each record's state — its 8-bit reference count (how many logical
+ * addresses map to the slot) and its cached strong-fingerprint flag —
+ * lives in the slot's LineRecord (line_table.hh), which the engine has
+ * already loaded when it updates the count, so reference updates never
+ * walk a chain. Only inserts and a record's death edit one.
+ *
+ * Reference counts saturate at 255: a line that reaches 255 references
+ * is pinned as "highly referenced" and further duplicates of it are
+ * written normally rather than deduplicated, which bounds the field
+ * width at the cost of a few missed eliminations. Pinned records never
+ * die, so a popular content piles them up in its chain (DESIGN.md §5c
+ * gives measured lengths); the newest-first probe reaches the one
+ * record with spare references first.
+ *
+ * Storage is a FlatMap from hash to a small-buffer chain: chains of up
+ * to two slots live inline in the map slot, longer ones move whole to a
+ * pooled vector. Erase preserves append order.
  */
 
 #ifndef DEWRITE_DEDUP_HASH_STORE_HH
 #define DEWRITE_DEDUP_HASH_STORE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/flat_map.hh"
+#include "common/paged_array.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "crypto/strong_fingerprint.hh"
+#include "dedup/line_table.hh"
 
 namespace dewrite {
 
 /**
- * One <hash, realAddr, reference> record, plus the lazily cached
- * strong fingerprint of the slot's content (DESIGN.md §5j): invalid
- * on insert, filled by the engine on the first weak-match
- * confirmation, and implicitly invalidated on rewrite because a
- * rewritten slot's record is always dropped and re-inserted.
+ * One live record as forEach() reports it, read from the slot's
+ * LineRecord.
  */
 struct HashEntry
 {
     LineAddr realAddr;
     std::uint8_t reference;
-    bool strongValid = false; //!< strongFp caches the slot's content fp.
-    StrongFp strongFp{};      //!< Meaningful only while strongValid.
 };
 
 /**
- * Read-only view of one hash's collision chain, in append order
- * (index 0 oldest). Valid until the next HashStore mutation.
+ * One hash's chain of slots in append order (index 0 oldest). Valid
+ * until the next HashStore mutation.
  */
-class ChainView
-{
-  public:
-    ChainView() = default;
-    ChainView(const HashEntry *head, std::size_t head_count,
-              const HashEntry *spill, std::size_t spill_count)
-        : head_(head), headCount_(head_count), spill_(spill),
-          spillCount_(spill_count)
-    {
-    }
-
-    std::size_t size() const { return headCount_ + spillCount_; }
-    bool empty() const { return size() == 0; }
-
-    const HashEntry &
-    operator[](std::size_t i) const
-    {
-        return i < headCount_ ? head_[i] : spill_[i - headCount_];
-    }
-
-  private:
-    const HashEntry *head_ = nullptr;
-    std::size_t headCount_ = 0;
-    const HashEntry *spill_ = nullptr;
-    std::size_t spillCount_ = 0;
-};
+using ChainView = std::span<const LineAddr>;
 
 class HashStore
 {
   public:
     /** Saturation limit of the 8-bit reference field. */
     static constexpr std::uint8_t kMaxReference = 255;
+
+    /** A store whose records live in @p lines. */
+    explicit HashStore(LineTable &lines) : lines_(lines) {}
+
+    /** A copy would share the original's records. */
+    HashStore(const HashStore &) = delete;
+    HashStore &operator=(const HashStore &) = delete;
 
     /**
      * Returns the chain of slots fingerprinted by @p hash (possibly
@@ -92,57 +78,71 @@ class HashStore
     ChainView lookup(std::uint64_t hash) const;
 
     /**
-     * Warms the bucket a lookup(@p hash) will probe — the chain head
-     * and its inline entries live in the same slot, so one hint covers
-     * the common (collision-free) whole chain. Pure hint: no state
-     * change, per the FlatMap::prefetch contract.
+     * Warms the bucket a lookup(@p hash) will probe — short chains
+     * live in the bucket itself. Pure hint: no state change, per the
+     * FlatMap::prefetch contract.
      */
     void prefetch(std::uint64_t hash) const { chains_.prefetch(hash); }
 
-    /** Inserts a new record with reference 1. The pair must be absent. */
-    void insert(std::uint64_t hash, LineAddr real_addr);
+    /**
+     * Inserts slot @p slot under @p hash with reference 1 and no cached
+     * strong fingerprint. @p record is the slot's LineRecord, which must
+     * not already hold a live record.
+     */
+    void insert(std::uint64_t hash, LineAddr slot, LineRecord &record);
 
     /**
-     * Increments the reference of (@p hash, @p real_addr).
+     * Increments the reference of the live record in @p record.
      * @return false if the count is saturated (caller must then treat
      *         the write as non-duplicate), true otherwise.
      */
-    bool addReference(std::uint64_t hash, LineAddr real_addr);
+    bool addReference(LineRecord &record);
 
     /**
-     * Decrements the reference of (@p hash, @p real_addr).
+     * Decrements the reference of slot @p slot's live record
+     * (@p record), chained under @p hash.
      * @return true if the count reached zero and the record was removed
      *         (the slot no longer holds live data).
      */
-    bool dropReference(std::uint64_t hash, LineAddr real_addr);
-
-    /** Current reference count, or 0 if the record is absent. */
-    std::uint8_t reference(std::uint64_t hash, LineAddr real_addr) const;
+    bool dropReference(std::uint64_t hash, LineAddr slot,
+                       LineRecord &record);
 
     /**
-     * Caches @p fp as the strong fingerprint of (@p hash,
-     * @p real_addr)'s content and marks it valid. The record must
-     * exist. Also the seeded-damage hook: the auditor test writes a
-     * wrong fingerprint here to prove the
+     * Audit query: the reference count of the record (@p hash, @p slot),
+     * or 0 if @p slot is not live under @p hash. Walks the chain; the
+     * write path reads LineRecord::reference() instead.
+     */
+    std::uint8_t reference(std::uint64_t hash, LineAddr slot) const;
+
+    /**
+     * Caches @p fp as the strong fingerprint of live slot @p slot's
+     * content and marks it valid. Also the seeded-damage hook: the
+     * auditor test writes a wrong fingerprint here to prove the
      * strong-fp-matches-stored-line invariant fires.
      */
-    void setStrongFp(std::uint64_t hash, LineAddr real_addr,
-                     const StrongFp &fp);
+    void setStrongFp(LineAddr slot, const StrongFp &fp);
 
     /**
-     * The cached strong fingerprint of (@p hash, @p real_addr), or
-     * nullptr when the record is absent or its fingerprint has not
-     * been computed yet.
+     * The cached strong fingerprint of slot @p slot's content, or
+     * nullptr when the slot has no live record or its fingerprint has
+     * not been computed yet.
      */
-    const StrongFp *strongFpOf(std::uint64_t hash,
-                               LineAddr real_addr) const;
+    const StrongFp *strongFpOf(LineAddr slot) const;
 
     /**
-     * Recovery-only: installs a record with an explicit reference
-     * count (clamped to the saturation cap). The pair must be absent.
+     * Recovery-only: installs a record with an explicit reference count
+     * (clamped to the saturation cap). The slot must hold no live
+     * record.
      */
-    void restore(std::uint64_t hash, LineAddr real_addr,
+    void restore(std::uint64_t hash, LineAddr slot,
                  std::uint64_t references);
+
+    /**
+     * Forgets every record, as losing the store to a crash would: the
+     * chains, the records' counts and strong-fingerprint flags, the
+     * fingerprints and the saturation counter. Capacity is kept.
+     */
+    void clear();
 
     /** Pre-sizes the table for @p expected records (no mid-run rehash). */
     // dewrite-analyze: allow(hot-path-purity) construction-time pre-sizing;
@@ -183,48 +183,35 @@ class HashStore
     forEach(Visitor &&visit) const
     {
         chains_.forEachSorted([&](std::uint64_t hash, const Chain &chain) {
-            const std::size_t head =
-                std::min<std::size_t>(chain.count, Chain::kInline);
-            for (std::size_t i = 0; i < head; ++i)
-                visit(hash, chain.inlineEntries[i]);
-            if (chain.count > Chain::kInline) {
-                for (const HashEntry &entry : spills_[chain.spillSlot])
-                    visit(hash, entry);
-            }
+            for (const LineAddr slot : view(chain))
+                visit(hash, HashEntry{ slot, lines_.at(slot).reference() });
         });
     }
 
   private:
     /**
-     * One hash's records: up to kInline held inline, the rest in
-     * spills_[spillSlot]. Logical order is inlineEntries then spill.
+     * One hash's slots: held inline while they fit, otherwise all of
+     * them in spills_[spillSlot].
      */
     struct Chain
     {
-        static constexpr std::size_t kInline = 2;
+        static constexpr std::uint32_t kInline = 2;
 
-        HashEntry inlineEntries[kInline];
+        LineAddr inlineSlots[kInline];
         std::uint32_t count = 0;
         std::uint32_t spillSlot = 0; // Valid only while count > kInline.
     };
 
-    static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+    ChainView view(const Chain &chain) const;
+    void append(Chain &chain, LineAddr slot);
+    void remove(Chain &chain, LineAddr slot);
 
-    /** Index of (hash-chain, entry) located by one table probe. */
-    struct Locator
-    {
-        std::size_t chainIdx; // FlatMap slot index, kNpos if hash absent.
-        std::size_t entryIdx; // Position in the chain, kNpos if absent.
-    };
-
-    Locator locate(std::uint64_t hash, LineAddr real_addr) const;
-    HashEntry &entryAt(Chain &chain, std::size_t i);
-    void appendEntry(Chain &chain, HashEntry entry);
-    void removeEntry(Chain &chain, std::size_t i);
-
+    LineTable &lines_;
     FlatMap<std::uint64_t, Chain> chains_;
-    std::vector<std::vector<HashEntry>> spills_;
+    std::vector<std::vector<LineAddr>> spills_;
     std::vector<std::uint32_t> freeSpills_;
+    /** Strong fingerprints by slot; only the weak+strong tiers fill it. */
+    PagedArray<StrongFp> strongFps_;
     std::size_t size_ = 0;
     Counter saturationRefusals_;
 };

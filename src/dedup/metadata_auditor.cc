@@ -16,7 +16,6 @@
 
 #include "common/check.hh"
 #include "common/env.hh"
-#include "common/paged_array.hh"
 #include "dedup/dedup_engine.hh"
 
 namespace dewrite {
@@ -93,17 +92,16 @@ MetadataAuditor::check() const
             first = std::move(violation);
     };
 
-    const AddressMappingTable &mapping = engine_.mapping();
-    const InvertedHashTable &inv = engine_.invertedHash();
+    const LineTable &lines = engine_.lines();
     const HashStore &store = engine_.hashStore();
     const FreeSpaceTable &fsm = engine_.freeSpace();
 
     // 1. Remapped logical lines must target live data (or the explicit
     //    "remapped to nothing" sentinel).
-    mapping.forEachRemapped([&](LineAddr logical, LineAddr slot) {
+    lines.forEachRemapped([&](LineAddr logical, LineAddr slot) {
         if (first || slot == DedupEngine::kNoData)
             return;
-        if (!inv.holdsData(slot)) {
+        if (!lines.at(slot).holdsData()) {
             AuditViolation v;
             v.invariant = AuditInvariant::MappingTargetHoldsData;
             v.logical = logical;
@@ -117,23 +115,13 @@ MetadataAuditor::check() const
     });
 
     // True per-slot reference counts, recomputed from the durable
-    // tables exactly the way recovery does: remapped logicals pointing
-    // at the slot, plus the slot's own logical when it keeps its data
-    // in place.
-    PagedArray<std::uint64_t> refs;
-    mapping.forEachRemapped([&](LineAddr, LineAddr slot) {
-        if (slot != DedupEngine::kNoData)
-            ++refs.ref(slot);
-    });
-    inv.forEachDataSlot([&](LineAddr slot, std::uint64_t) {
-        if (!mapping.isRemapped(slot) && engine_.written_.contains(slot))
-            ++refs.ref(slot);
-    });
+    // entries exactly the way recovery does.
+    const auto refs = lines.referenceCounts();
 
     // 2. Every data slot needs a hash-store record under its stored
     //    fingerprint, with the true reference count, and must be
     //    marked allocated in the free-space bitmap.
-    inv.forEachDataSlot([&](LineAddr slot, std::uint64_t hash) {
+    lines.forEachDataSlot([&](LineAddr slot, std::uint64_t hash) {
         if (first)
             return;
         const std::uint8_t recorded = store.reference(hash, slot);
@@ -186,15 +174,13 @@ MetadataAuditor::check() const
     store.forEach([&](std::uint64_t hash, const HashEntry &entry) {
         if (first)
             return;
-        if (!inv.holdsData(entry.realAddr) ||
-            inv.hash(entry.realAddr) != hash) {
+        const LineRecord &record = lines.at(entry.realAddr);
+        if (!record.holdsData() || record.hash() != hash) {
             AuditViolation v;
             v.invariant = AuditInvariant::HashRecordMatchesSlot;
             v.slot = entry.realAddr;
             v.expected = hash;
-            v.actual = inv.holdsData(entry.realAddr)
-                           ? inv.hash(entry.realAddr)
-                           : 0;
+            v.actual = record.holdsData() ? record.hash() : 0;
             v.detail = formatDetail(
                 "hash-store record (%#llx, slot %llu) does not match "
                 "the inverted hash table",
@@ -207,22 +193,22 @@ MetadataAuditor::check() const
         //     the weak+strong tier trusts instead of reading the line.
         //     decryptStored only touches the host-side pad memo, so the
         //     const_cast is observationally pure.
-        if (entry.strongValid) {
+        if (const StrongFp *cached = store.strongFpOf(entry.realAddr)) {
             const StrongFp stored = strongFingerprint(
                 const_cast<DedupEngine &>(engine_).decryptStored(
                     entry.realAddr));
-            if (!(stored == entry.strongFp)) {
+            if (!(stored == *cached)) {
                 AuditViolation v;
                 v.invariant = AuditInvariant::StrongFpMatchesStoredLine;
                 v.slot = entry.realAddr;
                 v.expected = stored.lo;
-                v.actual = entry.strongFp.lo;
+                v.actual = cached->lo;
                 v.detail = formatDetail(
                     "slot %llu caches strong fingerprint "
                     "%016llx%016llx but its stored content "
                     "fingerprints %016llx%016llx",
-                    u(entry.realAddr), u(entry.strongFp.hi),
-                    u(entry.strongFp.lo), u(stored.hi), u(stored.lo));
+                    u(entry.realAddr), u(cached->hi), u(cached->lo),
+                    u(stored.hi), u(stored.lo));
                 report(std::move(v));
             }
         }
@@ -231,7 +217,7 @@ MetadataAuditor::check() const
     // 4. The other direction of the FSM equivalence: an allocated slot
     //    must hold data (step 2 already caught free data slots).
     for (LineAddr slot = 0; slot < fsm.capacity() && !first; ++slot) {
-        if (!fsm.isFree(slot) && !inv.holdsData(slot)) {
+        if (!fsm.isFree(slot) && !lines.at(slot).holdsData()) {
             AuditViolation v;
             v.invariant = AuditInvariant::FsmMatchesDataSlots;
             v.slot = slot;
@@ -252,8 +238,9 @@ MetadataAuditor::check() const
         [&](LineAddr slot, std::uint64_t counter) {
             if (first)
                 return;
-            const bool mapping_home_free = !mapping.isRemapped(slot);
-            const bool inv_home_free = !inv.holdsData(slot);
+            const LineRecord &record = lines.at(slot);
+            const bool mapping_home_free = !record.isRemapped();
+            const bool inv_home_free = !record.holdsData();
             if (mapping_home_free || inv_home_free) {
                 AuditViolation v;
                 v.invariant = AuditInvariant::CounterSingleHome;

@@ -7,41 +7,11 @@
 
 #include <vector>
 
-#include "common/paged_array.hh"
 #include "dedup/dedup_engine.hh"
 #include "dedup/metadata_auditor.hh"
 #include "nvm/nvm_device.hh"
 
 namespace dewrite {
-
-namespace {
-
-/**
- * True reference count per slot, recomputed from the durable tables:
- * remapped logicals pointing at the slot, plus the slot's own logical
- * when it holds its own data.
- */
-PagedArray<std::uint64_t>
-recomputeReferences(const DedupEngine &engine,
-                    const DenseAddrSet &written)
-{
-    PagedArray<std::uint64_t> refs;
-    engine.mapping().forEachRemapped(
-        [&](LineAddr, LineAddr real_addr) {
-            if (real_addr != DedupEngine::kNoData)
-                ++refs.ref(real_addr);
-        });
-    engine.invertedHash().forEachDataSlot(
-        [&](LineAddr slot, std::uint64_t) {
-            if (!engine.mapping().isRemapped(slot) &&
-                written.contains(slot)) {
-                ++refs.ref(slot);
-            }
-        });
-    return refs;
-}
-
-} // namespace
 
 RecoveryManager::RecoveryManager(DedupEngine &engine) : engine_(engine)
 {
@@ -51,11 +21,12 @@ AuditReport
 RecoveryManager::audit() const
 {
     AuditReport report;
-    const auto refs = recomputeReferences(engine_, engine_.written_);
+    const LineTable &lines = engine_.lines();
+    const auto refs = lines.referenceCounts();
 
     // Every data slot must have a matching hash-store record with the
     // true reference count (saturated records are pinned and exempt).
-    engine_.invertedHash().forEachDataSlot(
+    lines.forEachDataSlot(
         [&](LineAddr slot, std::uint64_t hash) {
             ++report.hashRecordsChecked;
             const std::uint8_t recorded =
@@ -75,16 +46,15 @@ RecoveryManager::audit() const
     // dewrite-lint: allow(unsorted-iteration) commutative counts
     engine_.hashStore().forEach(
         [&](std::uint64_t hash, const HashEntry &entry) {
-            if (!engine_.invertedHash().holdsData(entry.realAddr) ||
-                engine_.invertedHash().hash(entry.realAddr) != hash) {
+            const LineRecord &record = lines.at(entry.realAddr);
+            if (!record.holdsData() || record.hash() != hash)
                 ++report.strayHashRecords;
-            }
         });
 
     // The FSM bitmap must mark exactly the data slots as used.
     for (LineAddr slot = 0; slot < engine_.freeSpace().capacity();
          ++slot) {
-        const bool holds = engine_.invertedHash().holdsData(slot);
+        const bool holds = lines.at(slot).holdsData();
         if (engine_.freeSpace().isFree(slot) == holds)
             ++report.fsmMismatches;
     }
@@ -94,7 +64,7 @@ RecoveryManager::audit() const
 void
 RecoveryManager::simulateCrashDamage()
 {
-    engine_.hashStore_ = HashStore();
+    engine_.hashStore_.clear();
     engine_.fsm_ = FreeSpaceTable(engine_.config_.memory.numLines);
 }
 
@@ -103,14 +73,14 @@ RecoveryManager::rebuild()
 {
     RecoveryReport report;
 
-    const auto refs = recomputeReferences(engine_, engine_.written_);
-    engine_.mapping().forEachRemapped(
+    const LineTable &lines = engine_.lines();
+    const auto refs = lines.referenceCounts();
+    lines.forEachRemapped(
         [&](LineAddr, LineAddr) { ++report.mappingsScanned; });
 
     // Start from empty derived structures and restore them from the
     // durable inverted-hash walk.
-    engine_.hashStore_ = HashStore();
-    engine_.hashStore_.reserve(engine_.config_.memory.workingSetHint());
+    engine_.hashStore_.clear();
     engine_.fsm_ = FreeSpaceTable(engine_.config_.memory.numLines);
 
     // Under the weak+strong policies the scan already streams every
@@ -122,7 +92,7 @@ RecoveryManager::rebuild()
         engine_.options_.detect == DetectPolicy::Adaptive;
 
     std::vector<LineAddr> orphaned;
-    engine_.invertedHash().forEachDataSlot(
+    lines.forEachDataSlot(
         [&](LineAddr slot, std::uint64_t hash) {
             ++report.slotsScanned;
             const std::uint64_t count = refs.get(slot);
@@ -135,17 +105,17 @@ RecoveryManager::rebuild()
             engine_.hashStore_.restore(hash, slot, count);
             if (rebuild_strong_fps) {
                 engine_.hashStore_.setStrongFp(
-                    hash, slot,
-                    strongFingerprint(engine_.decryptStored(slot)));
+                    slot, strongFingerprint(engine_.decryptStored(slot)));
                 ++report.strongFpsRebuilt;
             }
             engine_.fsm_.allocate(slot);
             ++report.recordsRebuilt;
         });
     for (LineAddr slot : orphaned) {
-        const std::uint64_t counter = engine_.counterOf(slot);
-        engine_.invHash_.clearHash(slot);
-        engine_.setCounterOf(slot, counter);
+        LineRecord &record = engine_.lines_.ref(slot);
+        const std::uint64_t counter = engine_.counterOf(slot, record);
+        record.clearHash();
+        engine_.setCounterOf(slot, record, counter);
     }
 
     // Scan-time estimate: one sequential pass over the two durable

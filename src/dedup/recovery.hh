@@ -83,7 +83,10 @@ class RecoveryManager
     /**
      * Simulates the crash damage of an unprotected write-back cache:
      * the derived structures (hash store, FSM) are discarded, as their
-     * lazily-written blocks cannot be trusted after the crash.
+     * lazily-written blocks cannot be trusted after the crash. The
+     * hash-store fields of every LineRecord (counts, strong-fingerprint
+     * flags) go with the store; the durable mapping and inverted-hash
+     * entries stay.
      */
     void simulateCrashDamage();
 

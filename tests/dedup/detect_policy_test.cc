@@ -115,7 +115,7 @@ TEST(WeakStrongTest, FirstConfirmationCachesTheFingerprint)
     EXPECT_TRUE(second.duplicate);
     EXPECT_EQ(second.confirmReads, 1u);
     EXPECT_EQ(pe.engine().strongFpCaches(), 1u);
-    EXPECT_NE(pe.engine().hashStore().strongFpOf(second.hash, 1), nullptr);
+    EXPECT_NE(pe.engine().hashStore().strongFpOf(1), nullptr);
 
     // From now on the cached fingerprint answers: no more reads.
     const DetectOutcome third = pe.write(3, data);
@@ -140,8 +140,7 @@ TEST(WeakStrongTest, ForgedCollisionCachesTheStoredFingerprint)
     EXPECT_FALSE(det.duplicate);
     EXPECT_EQ(pe.engine().collisionMismatches(), 1u);
     EXPECT_EQ(pe.engine().strongFpCaches(), 1u);
-    const StrongFp *cached =
-        pe.engine().hashStore().strongFpOf(det.hash, 1);
+    const StrongFp *cached = pe.engine().hashStore().strongFpOf(1);
     ASSERT_NE(cached, nullptr);
     EXPECT_EQ(*cached, strongFingerprint(base));
 
@@ -164,9 +163,7 @@ TEST(WeakStrongTest, RewriteInvalidatesTheCachedFingerprint)
 
     pe.write(1, old_data);
     pe.write(2, old_data); // Caches the fingerprint for slot 1.
-    ASSERT_NE(pe.engine().hashStore().strongFpOf(
-                  pe.engine().fingerprinter().fingerprint(old_data), 1),
-              nullptr);
+    ASSERT_NE(pe.engine().hashStore().strongFpOf(1), nullptr);
 
     // Rewriting both referents drops the record entirely; the content's
     // next appearance starts from an invalid fingerprint again (slot
@@ -174,9 +171,7 @@ TEST(WeakStrongTest, RewriteInvalidatesTheCachedFingerprint)
     // die with its record — never go stale).
     pe.write(1, new_data);
     pe.write(2, new_data);
-    const std::uint64_t old_hash =
-        pe.engine().fingerprinter().fingerprint(old_data);
-    EXPECT_EQ(pe.engine().hashStore().strongFpOf(old_hash, 1), nullptr);
+    EXPECT_EQ(pe.engine().hashStore().strongFpOf(1), nullptr);
 
     const DetectOutcome det = pe.write(3, old_data);
     EXPECT_FALSE(det.duplicate);

@@ -31,13 +31,9 @@ class MetadataAuditorTestPeer
 {
   public:
     static HashStore &hashStore(DedupEngine &e) { return e.hashStore_; }
-    static InvertedHashTable &invHash(DedupEngine &e)
+    static LineRecord &line(DedupEngine &e, LineAddr addr)
     {
-        return e.invHash_;
-    }
-    static AddressMappingTable &mapping(DedupEngine &e)
-    {
-        return e.mapping_;
+        return e.lines_.ref(addr);
     }
     static FreeSpaceTable &fsm(DedupEngine &e) { return e.fsm_; }
     static FlatMap<LineAddr, std::uint64_t> &overflow(DedupEngine &e)
@@ -159,7 +155,7 @@ TEST_F(MetadataAuditorTest, DanglingInvertedHashEntryIsNamed)
     populate();
     // A data slot appears out of nowhere: no hash-store record backs
     // its fingerprint (the "dangling inverted-hash entry" corruption).
-    MetadataAuditorTestPeer::invHash(engine_).setHash(3000, 0xabcdef);
+    MetadataAuditorTestPeer::line(engine_, 3000).setHash(0xabcdef);
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
     EXPECT_EQ(violation->invariant,
@@ -174,10 +170,9 @@ TEST_F(MetadataAuditorTest, ReferenceCountMismatchIsNamed)
     // Slot 30's content is shared 8 ways; a spurious extra reference
     // makes the recorded count disagree with the mapping walk.
     const LineAddr slot = 30;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
-    const std::uint64_t hash = engine_.invertedHash().hash(slot);
-    ASSERT_TRUE(MetadataAuditorTestPeer::hashStore(engine_)
-                    .addReference(hash, slot));
+    ASSERT_TRUE(engine_.lines().at(slot).holdsData());
+    ASSERT_TRUE(MetadataAuditorTestPeer::hashStore(engine_).addReference(
+        MetadataAuditorTestPeer::line(engine_, slot)));
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
     EXPECT_EQ(violation->invariant,
@@ -193,7 +188,7 @@ TEST_F(MetadataAuditorTest, DoubleHomedCounterIsNamed)
     // mapping entry. A stale overflow entry for it means the counter
     // is double-homed.
     const LineAddr slot = 10;
-    ASSERT_FALSE(engine_.mapping().isRemapped(slot));
+    ASSERT_FALSE(engine_.lines().at(slot).isRemapped());
     MetadataAuditorTestPeer::overflow(engine_)[slot] = 7;
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
@@ -207,7 +202,8 @@ TEST_F(MetadataAuditorTest, StrayHashRecordIsNamed)
     populate();
     // A record pointing at a slot that holds no data (or other data)
     // is a stale-cleaning failure.
-    MetadataAuditorTestPeer::hashStore(engine_).insert(0xdead, 3500);
+    MetadataAuditorTestPeer::hashStore(engine_).insert(
+        0xdead, 3500, MetadataAuditorTestPeer::line(engine_, 3500));
     EXPECT_EQ(expectViolation(),
               AuditInvariant::HashRecordMatchesSlot);
 }
@@ -223,7 +219,7 @@ TEST_F(MetadataAuditorTest, FsmDriftIsNamedBothDirections)
 
     // Data-but-free drift: the slot walk reports the same invariant.
     const LineAddr slot = 12;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
+    ASSERT_TRUE(engine_.lines().at(slot).holdsData());
     MetadataAuditorTestPeer::fsm(engine_).release(slot);
     EXPECT_EQ(expectViolation(), AuditInvariant::FsmMatchesDataSlots);
 }
@@ -232,7 +228,7 @@ TEST_F(MetadataAuditorTest, DanglingMappingIsNamed)
 {
     populate();
     // Logical 100 remapped to a slot that holds nothing.
-    MetadataAuditorTestPeer::mapping(engine_).remap(100, 3700);
+    MetadataAuditorTestPeer::line(engine_, 100).remap(3700);
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
     EXPECT_EQ(violation->invariant,
@@ -248,10 +244,9 @@ TEST_F(MetadataAuditorTest, WrongStrongFingerprintIsNamed)
     // stored content: the two-tier detector would trust it and merge
     // distinct lines, so the auditor must call it out by name.
     const LineAddr slot = 30;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
-    const std::uint64_t hash = engine_.invertedHash().hash(slot);
+    ASSERT_TRUE(engine_.lines().at(slot).holdsData());
     MetadataAuditorTestPeer::hashStore(engine_).setStrongFp(
-        hash, slot, StrongFp{ 0xdeadbeefu, 0xfeedfaceu });
+        slot, StrongFp{ 0xdeadbeefu, 0xfeedfaceu });
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
     EXPECT_EQ(violation->invariant,
@@ -267,10 +262,9 @@ TEST_F(MetadataAuditorTest, CorrectStrongFingerprintAuditsClean)
     // The honest cache — the fingerprint of what the slot really
     // stores — must not trip the new invariant.
     const LineAddr slot = 30;
-    ASSERT_TRUE(engine_.invertedHash().holdsData(slot));
-    const std::uint64_t hash = engine_.invertedHash().hash(slot);
+    ASSERT_TRUE(engine_.lines().at(slot).holdsData());
     MetadataAuditorTestPeer::hashStore(engine_).setStrongFp(
-        hash, slot,
+        slot,
         strongFingerprint(
             MetadataAuditorTestPeer::decryptStored(engine_, slot)));
     EXPECT_FALSE(MetadataAuditor(engine_).check().has_value());
@@ -281,8 +275,8 @@ TEST_F(MetadataAuditorTest, FirstViolationIsDeterministic)
     populate();
     // Two independent corruptions: the report must pick the same one
     // every time (walk order, not hash-table luck).
-    MetadataAuditorTestPeer::invHash(engine_).setHash(3000, 0x111111);
-    MetadataAuditorTestPeer::invHash(engine_).setHash(3001, 0x222222);
+    MetadataAuditorTestPeer::line(engine_, 3000).setHash(0x111111);
+    MetadataAuditorTestPeer::line(engine_, 3001).setHash(0x222222);
     for (int i = 0; i < 3; ++i) {
         const auto violation = MetadataAuditor(engine_).check();
         ASSERT_TRUE(violation.has_value());
@@ -310,7 +304,7 @@ TEST(MetadataAuditorDeathTest, EnforceNamesTheInvariant)
     MetadataCache metadata(config, device, config.memory.numLines);
     CounterModeEngine cme(key);
     DedupEngine engine(config, device, metadata, cme);
-    MetadataAuditorTestPeer::invHash(engine).setHash(5, 0xbeef);
+    MetadataAuditorTestPeer::line(engine, 5).setHash(0xbeef);
     EXPECT_DEATH(MetadataAuditor(engine).enforce("test"),
                  "data-slot-has-hash-record");
 }

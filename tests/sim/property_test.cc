@@ -157,21 +157,24 @@ TEST_P(EngineInvariants, StructuralConsistencyAfterRandomWorkload)
     // inverted-hash entry matches the record's hash.
     engine.hashStore().forEach(
         [&](std::uint32_t hash, const HashEntry &entry) {
-            EXPECT_TRUE(engine.invertedHash().holdsData(entry.realAddr));
-            EXPECT_EQ(engine.invertedHash().hash(entry.realAddr), hash);
+            const LineRecord &record = engine.lines().at(entry.realAddr);
+            EXPECT_TRUE(record.holdsData());
+            EXPECT_EQ(record.hash(), hash);
             EXPECT_FALSE(engine.freeSpace().isFree(entry.realAddr));
         });
 
     // Invariant 3: data-slot count agrees between the inverted hash
     // table and the hash store.
-    EXPECT_EQ(engine.invertedHash().dataSlots(),
-              engine.hashStore().size());
+    std::size_t data_slots = 0;
+    engine.lines().forEachDataSlot(
+        [&](LineAddr, std::uint64_t) { ++data_slots; });
+    EXPECT_EQ(data_slots, engine.hashStore().size());
 
     // Invariant 4: allocated slot count equals data slots (every
     // allocation holds live data once the write committed).
     EXPECT_EQ(engine.freeSpace().capacity() -
                   engine.freeSpace().freeCount(),
-              engine.invertedHash().dataSlots());
+              data_slots);
 
     // Invariant 5: counter colocation overflow is bounded (tiny
     // relative to traffic; see DESIGN.md Section 5).
