@@ -16,12 +16,12 @@
  *
  * The JSON additionally carries the write-batch size (DEWRITE_BATCH),
  * a per-scheme parity fingerprint (CRC-32 over every cell's canonical
- * result signature — identical across batch sizes by the batching
+ * result signature — identical across batch sizes by the writeBatch()
  * strict-equivalence contract), the per-stage host-cycle breakdown
  * (digest/probe/pad/confirm-read/commit, from DEWRITE_STAGE_PROFILE,
  * which this bench enables unless the environment overrides it), and
  * an events/sec ratio of each dewrite mode against the secure
- * baseline — the tentpole's ≥0.8 target for dewrite-predicted.
+ * baseline (the host-throughput gap).
  */
 
 #include <cstdio>

@@ -50,22 +50,6 @@ flatMix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/**
- * Read-intent cache-warming hint. Purely advisory: it may load the
- * addressed cache line early, but never changes program state, so it is
- * always safe to issue speculatively (wrong guesses cost bandwidth
- * only).
- */
-inline void
-hostPrefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-    (void)p;
-#endif
-}
-
 /** Default hasher: integral keys go through the full-avalanche mix. */
 template <typename K>
 struct FlatHash
@@ -140,20 +124,6 @@ class FlatMap
             idx = (idx + 1) & mask_;
         }
         return npos;
-    }
-
-    /**
-     * Warms the cache line @p key's probe sequence starts at. A pure
-     * hint: no slot, size, or iteration state changes — the std-oracle
-     * property tests interleave it freely with every mutation.
-     */
-    // dewrite-lint: hot
-    void
-    prefetch(const K &key) const
-    {
-        if (slots_.empty())
-            return;
-        hostPrefetchRead(&slots_[hasher_(key) & mask_]);
     }
 
     const V &valueAt(std::size_t idx) const { return slots_[idx].value; }
@@ -336,7 +306,6 @@ class FlatSet
     // the hot edge is a member-name over-approximation
     void reserve(std::size_t expected) { map_.reserve(expected); }
     bool contains(const K &key) const { return map_.contains(key); }
-    void prefetch(const K &key) const { map_.prefetch(key); }
     bool insert(const K &key) { return map_.tryEmplace(key).second; }
     bool erase(const K &key) { return map_.erase(key); }
     void clear() { map_.clear(); }

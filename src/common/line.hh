@@ -132,7 +132,7 @@ class Line
  * bytes at a time with no temporary Line. Exactly equivalent to
  * `plaintext == (ciphertext ^ pad)` — i.e. the confirm-by-read compare
  * after counter-mode decryption — but fuses decrypt and compare so the
- * batched write path never materializes the decrypted line.
+ * write path never materializes the decrypted line.
  */
 // dewrite-lint: hot
 inline bool

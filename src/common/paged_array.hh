@@ -95,23 +95,6 @@ class PagedArray
             static_cast<const PagedArray *>(this)->find(index));
     }
 
-    /**
-     * Warms the cache line holding entry @p index (if its page exists).
-     * A pure hint — mirrors find() without materializing the result.
-     */
-    // dewrite-lint: hot
-    void
-    prefetch(std::uint64_t index) const
-    {
-        if (index >= kMaxDirectEntries) {
-            overflow_.prefetch(index);
-            return;
-        }
-        const std::size_t page = index / kPageEntries;
-        if (page < pages_.size() && pages_[page])
-            hostPrefetchRead(&(*pages_[page])[index % kPageEntries]);
-    }
-
     /** Entry value at @p index; untouched entries read as T{}. */
     T
     get(std::uint64_t index) const
@@ -189,9 +172,6 @@ class DenseAddrSet
         const std::uint8_t *flag = flags_.find(index);
         return flag && *flag;
     }
-
-    /** Pure cache-warming hint for the flag byte of @p index. */
-    void prefetch(std::uint64_t index) const { flags_.prefetch(index); }
 
     /** @return true iff @p index was newly added. */
     bool

@@ -84,15 +84,6 @@ class DeWriteController : public MemController
     CtrlReadResult read(LineAddr addr, Time now) override;
     CtrlReadResult readTiming(LineAddr addr, Time now) override;
 
-    /**
-     * Batched entry point: digests, metadata prefetches, and candidate
-     * pad generation run across the whole group (DedupEngine's
-     * prepareBatch) before the members replay through the serial write
-     * path with their digest handed in.
-     */
-    void writeBatch(const CtrlWriteRequest *requests,
-                    CtrlWriteResult *results, std::size_t count) override;
-
     std::string name() const override;
     Energy controllerEnergy() const override;
 
@@ -132,14 +123,6 @@ class DeWriteController : public MemController
   private:
     /** Charges one line encryption's energy and counts it. */
     void startEncryption();
-
-    /**
-     * The full serial write path; @p precomputed_hash (from a batch
-     * digest round) skips re-fingerprinting inside detect().
-     */
-    CtrlWriteResult writeOne(LineAddr addr, const Line &data, Time now,
-                             const std::uint64_t *precomputed_hash,
-                             const StrongFp *precomputed_strong = nullptr);
 
     const SystemConfig &config_;
     NvmDevice &device_;

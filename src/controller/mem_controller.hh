@@ -81,12 +81,11 @@ class MemController
     }
 
     /**
-     * Writes a group of @p count lines. The contract is strict
-     * equivalence: results, all simulated state, and all metrics are
-     * identical to calling write() per request in array order — the
-     * batch only lets a scheme overlap *host-side* work (digests,
-     * prefetches, AES pad generation) across members. The base
-     * implementation is exactly that serial loop.
+     * Writes a group of @p count lines (the batch former's flush).
+     * The contract is strict equivalence: results, all simulated
+     * state, and all metrics are identical to calling write() per
+     * request in array order, which is exactly what this does. No
+     * scheme overrides it; wrappers may, to observe the hand-off.
      */
     virtual void writeBatch(const CtrlWriteRequest *requests,
                             CtrlWriteResult *results, std::size_t count);

@@ -3,13 +3,13 @@
  * The write-batch former shared by every trace-driven core loop.
  *
  * A former stages consecutive store-queue writes and hands them to
- * MemController::writeBatch() as one group — the host-side batching of
- * DESIGN.md §5f. It owns the staging slots (fixed capacity, no
- * allocation after construction) and the flush-reason accounting:
- * every non-empty flush is attributed to the event that forced it
- * (a read that must observe the staged writes, a full store queue, a
- * full batch, or the end of the trace), so the registry exposes *why*
- * batches break up, not just cycle totals.
+ * MemController::writeBatch() as one group (DESIGN.md §5f). It owns
+ * the staging slots (fixed capacity, no allocation after construction)
+ * and the flush-reason accounting: every non-empty flush is attributed
+ * to the event that forced it (a read that must observe the staged
+ * writes, a full store queue, a full batch, or the end of the trace),
+ * so the registry exposes *why* batches break up, not just cycle
+ * totals.
  *
  * Both CoreModel::runMulti (the batch-run experiment path) and the
  * service's ShardCore (the resumable per-shard loop) drive one former;

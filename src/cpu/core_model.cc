@@ -77,8 +77,9 @@ CoreModel::runMulti(const std::vector<TraceSource *> &traces,
     // store queue drains, so consecutive globally-selected writes can
     // be staged and handed to the controller as one writeBatch() —
     // which replays them in the exact serial order (strict-equivalence
-    // contract) but overlaps the host-side work. Any read, a full
-    // queue, or a full batch forces the flush first.
+    // contract). Any read, a full queue, or a full batch forces the
+    // flush first; since an entry retires only from a full queue, a
+    // core's writes after its first storeQueueDepth flush one by one.
     former_.reset(writeBatchSize());
     std::array<CtrlWriteResult, kMaxWriteBatch> responses;
 

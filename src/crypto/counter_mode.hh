@@ -12,7 +12,6 @@
 #ifndef DEWRITE_CRYPTO_COUNTER_MODE_HH
 #define DEWRITE_CRYPTO_COUNTER_MODE_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -23,13 +22,6 @@
 #include "crypto/aes128.hh"
 
 namespace dewrite {
-
-/** One pad to generate: the (address, write counter) pair keying it. */
-struct PadRequest
-{
-    LineAddr addr = 0;
-    std::uint64_t counter = 0;
-};
 
 /**
  * Generates OTPs and encrypts/decrypts lines under a fixed secret key.
@@ -52,16 +44,6 @@ class CounterModeEngine
      */
     Line makePad(LineAddr addr, std::uint64_t counter) const;
 
-    /**
-     * Generates @p count pads at once, one per request, into @p pads.
-     * All seeds of all requests go through the AES-NI kernel in
-     * eight-block groups, so a batch of N lines keeps the pipeline full
-     * across line boundaries instead of draining every 16 blocks.
-     * Byte-identical to calling makePad() per request.
-     */
-    void makePads(const PadRequest *requests, std::size_t count,
-                  Line *pads) const;
-
     /** Encrypts @p plaintext for storage at @p addr with @p counter. */
     Line encryptLine(const Line &plaintext, LineAddr addr,
                      std::uint64_t counter) const;
@@ -77,18 +59,17 @@ class CounterModeEngine
 /**
  * Direct-mapped host-side memo of recently generated pads, keyed by the
  * exact (addr, counter) pair. Pads are pure functions of that pair, so
- * a hit is always correct — speculative prefills with a wrong counter
- * guess simply miss later and regenerate. Purely a host optimization:
- * simulated AES time and energy are charged by the controllers from
- * their own latency model, never from here.
+ * a hit is always correct. Purely a host optimization: simulated AES
+ * time and energy are charged by the controllers from their own latency
+ * model, never from here.
  */
 class PadCache
 {
   public:
     /**
      * The pad for (@p addr, @p counter), generated through @p cme on a
-     * miss and memoized. The reference is valid until the next get() or
-     * fill() call.
+     * miss and memoized. The reference is valid until the next get()
+     * call.
      */
     // dewrite-lint: hot
     const Line &
@@ -108,43 +89,17 @@ class PadCache
         return entry.pad;
     }
 
-    /** Batch-generates and installs pads for @p count requests. */
-    void
-    fill(const CounterModeEngine &cme, const PadRequest *requests,
-         std::size_t count)
-    {
-        prefills_.increment(count);
-        std::array<Line, kFillChunk> pads;
-        while (count > 0) {
-            const std::size_t chunk = std::min(count, kFillChunk);
-            cme.makePads(requests, chunk, pads.data());
-            for (std::size_t i = 0; i < chunk; ++i) {
-                Entry &entry =
-                    entries_[indexOf(requests[i].addr,
-                                     requests[i].counter)];
-                entry.addr = requests[i].addr;
-                entry.counter = requests[i].counter;
-                entry.pad = pads[i];
-                entry.valid = true;
-            }
-            requests += chunk;
-            count -= chunk;
-        }
-    }
-
     /**
-     * @{ Host-side effectiveness accounting: get() hits and misses,
-     * and pads speculatively installed by fill(). Exposed as Counter
-     * references so the owning component registers them under its own
-     * registry scope without crypto depending on obs. None carry
-     * legacy StatSet names, so result signatures are untouched.
+     * @{ Host-side effectiveness accounting: get() hits and misses.
+     * Exposed as Counter references so the owning component registers
+     * them under its own registry scope without crypto depending on
+     * obs. Neither carries a legacy StatSet name, so result signatures
+     * are untouched.
      */
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
-    std::uint64_t prefills() const { return prefills_.value(); }
     const Counter &hitCounter() const { return hits_; }
     const Counter &missCounter() const { return misses_; }
-    const Counter &prefillCounter() const { return prefills_; }
     /** @} */
 
   private:
@@ -156,10 +111,9 @@ class PadCache
         Line pad;
     };
 
-    // 128 entries * ~280 B stays L2-resident; direct-mapped because the
-    // working set per batch is small and conflicts only cost a redo.
+    // 128 entries * ~280 B stays L2-resident; direct-mapped because
+    // conflicts only cost a redo.
     static constexpr std::size_t kEntries = 128;
-    static constexpr std::size_t kFillChunk = 64;
 
     static std::size_t
     indexOf(LineAddr addr, std::uint64_t counter)
@@ -172,7 +126,6 @@ class PadCache
 
     Counter hits_;
     Counter misses_;
-    Counter prefills_;
 };
 
 } // namespace dewrite

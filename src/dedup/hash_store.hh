@@ -78,13 +78,6 @@ class HashStore
     ChainView lookup(std::uint64_t hash) const;
 
     /**
-     * Warms the bucket a lookup(@p hash) will probe — short chains
-     * live in the bucket itself. Pure hint: no state change, per the
-     * FlatMap::prefetch contract.
-     */
-    void prefetch(std::uint64_t hash) const { chains_.prefetch(hash); }
-
-    /**
      * Inserts slot @p slot under @p hash with reference 1 and no cached
      * strong fingerprint. @p record is the slot's LineRecord, which must
      * not already hold a live record.

@@ -184,9 +184,6 @@ class LineTable
         records_.reserve(num_lines);
     }
 
-    /** Pure cache-warming hint for line @p addr's record. */
-    void prefetch(LineAddr addr) const { records_.prefetch(addr); }
-
     /** Line @p addr's record; untouched lines read as all-null. */
     const LineRecord &
     at(LineAddr addr) const

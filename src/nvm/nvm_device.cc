@@ -121,19 +121,6 @@ NvmDevice::peekPtr(LineAddr addr) const
     return store_.find(addr);
 }
 
-void
-NvmDevice::prefetchLine(LineAddr addr) const
-{
-    store_.prefetch(addr);
-}
-
-void
-NvmDevice::prefetchForWrite(LineAddr addr) const
-{
-    store_.prefetch(addr);
-    wear_.prefetch(addr);
-}
-
 bool
 NvmDevice::isWritten(LineAddr addr) const
 {

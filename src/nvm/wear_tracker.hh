@@ -46,9 +46,6 @@ class WearTracker
     /** Writes recorded against one line. */
     std::uint64_t lineWrites(LineAddr addr) const;
 
-    /** Pure cache-warming hint for @p addr's write-count entry. */
-    void prefetch(LineAddr addr) const { lineWrites_.prefetch(addr); }
-
     /**
      * Projected lifetime in arbitrary write-traffic units: with perfect
      * wear leveling over @p leveled_lines lines of @p cell_endurance

@@ -1,7 +1,6 @@
 /**
  * @file
- * Host-cycle attribution for the batched write pipeline (DESIGN.md
- * §5f).
+ * Host-cycle attribution for the dedup write path (DESIGN.md §5f).
  *
  * With DEWRITE_STAGE_PROFILE=1, the dedup engine timestamps each write
  * pipeline stage — digest, metadata probe, pad generation, confirm
@@ -14,7 +13,7 @@
  * Off by default for two reasons: the timestamps cost a pair of rdtsc
  * per stage entry, and — more importantly — leaving the stage gauges
  * unregistered keeps the default MetricRegistry snapshot byte-identical
- * to an unprofiled build (the batching parity contract).
+ * to an unprofiled build.
  *
  * Stages attribute *work*, not disjoint wall time: a pad generated
  * lazily inside a confirm-read compare accrues to both "pad" and

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 
 namespace dewrite {
@@ -224,6 +226,58 @@ TEST(DeWriteControllerTest, BitTechniqueComposesWithDedup)
     EXPECT_LT(ctrl.dataBitsProgrammed(), kLineBits * 6 / 10);
     EXPECT_GT(ctrl.dataBitsProgrammed(), kLineBits * 4 / 10);
     EXPECT_EQ(ctrl.read(2, 0).data, a);
+}
+
+TEST(DeWriteControllerTest, WriteBatchEqualsPerRequestWrites)
+{
+    // The core model's flushes reach the scheme through the serial
+    // MemController::writeBatch: a batch must leave every result,
+    // metric and stored line exactly as one write() per request does.
+    NvmDevice batch_device(config());
+    DeWriteController batched(config(), batch_device, key(),
+                              modeOptions(DedupMode::Predicted));
+    NvmDevice serial_device(config());
+    DeWriteController serial(config(), serial_device, key(),
+                             modeOptions(DedupMode::Predicted));
+
+    Rng rng(121);
+    std::vector<Line> pool;
+    std::vector<Line> data(48);
+    std::vector<CtrlWriteRequest> requests(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        if (!pool.empty() && rng.chance(0.5)) {
+            data[i] = pool[rng.nextBelow(pool.size())];
+        } else {
+            data[i] = Line::random(rng);
+            pool.push_back(data[i]);
+        }
+        requests[i] = { rng.nextBelow(16), &data[i],
+                        static_cast<Time>(i) * 1000 };
+    }
+
+    std::vector<CtrlWriteResult> batch_results(requests.size());
+    batched.writeBatch(requests.data(), batch_results.data(),
+                       requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const CtrlWriteResult expected = serial.write(
+            requests[i].addr, *requests[i].data, requests[i].now);
+        EXPECT_EQ(batch_results[i].latency, expected.latency) << i;
+        EXPECT_EQ(batch_results[i].eliminated, expected.eliminated) << i;
+    }
+    EXPECT_GT(batched.writesEliminated(), 0u);
+
+    StatSet batch_stats;
+    StatSet serial_stats;
+    batched.fillStats(batch_stats);
+    serial.fillStats(serial_stats);
+    EXPECT_EQ(batch_stats.all(), serial_stats.all());
+    EXPECT_EQ(batched.controllerEnergy(), serial.controllerEnergy());
+    EXPECT_EQ(batch_device.numWrites(), serial_device.numWrites());
+    EXPECT_EQ(batch_device.totalEnergy(), serial_device.totalEnergy());
+    for (LineAddr addr = 0; addr < 16; ++addr) {
+        EXPECT_EQ(batch_device.peek(addr), serial_device.peek(addr));
+        EXPECT_EQ(batched.read(addr, 0).data, serial.read(addr, 0).data);
+    }
 }
 
 TEST(DeWriteControllerTest, WorstCaseUniqueStreamStaysClose)

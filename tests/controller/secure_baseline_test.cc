@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 
 namespace dewrite {
@@ -164,6 +166,49 @@ TEST(SecureBaselineTest, EnergyGrowsWithTraffic)
     EXPECT_GE(after_write - before, config().energy.aesLine());
     ctrl.read(0, 0);
     EXPECT_GT(ctrl.controllerEnergy(), after_write);
+}
+
+TEST(SecureBaselineTest, WriteBatchEqualsPerRequestWrites)
+{
+    // The serial MemController::writeBatch contract: a batch leaves
+    // every result, metric and stored line exactly as one write() per
+    // request does, rewrites of one address included.
+    NvmDevice batch_device(config());
+    SecureBaselineController batched(config(), batch_device, key());
+    NvmDevice serial_device(config());
+    SecureBaselineController serial(config(), serial_device, key());
+
+    Rng rng(102);
+    std::vector<Line> data(48);
+    std::vector<CtrlWriteRequest> requests(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = Line::random(rng);
+        requests[i] = { rng.nextBelow(16), &data[i],
+                        static_cast<Time>(i) * 1000 };
+    }
+
+    std::vector<CtrlWriteResult> batch_results(requests.size());
+    batched.writeBatch(requests.data(), batch_results.data(),
+                       requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const CtrlWriteResult expected = serial.write(
+            requests[i].addr, *requests[i].data, requests[i].now);
+        EXPECT_EQ(batch_results[i].latency, expected.latency) << i;
+        EXPECT_EQ(batch_results[i].eliminated, expected.eliminated) << i;
+    }
+
+    StatSet batch_stats;
+    StatSet serial_stats;
+    batched.fillStats(batch_stats);
+    serial.fillStats(serial_stats);
+    EXPECT_EQ(batch_stats.all(), serial_stats.all());
+    EXPECT_EQ(batched.controllerEnergy(), serial.controllerEnergy());
+    EXPECT_EQ(batch_device.numWrites(), serial_device.numWrites());
+    EXPECT_EQ(batch_device.totalEnergy(), serial_device.totalEnergy());
+    for (LineAddr addr = 0; addr < 16; ++addr) {
+        EXPECT_EQ(batch_device.peek(addr), serial_device.peek(addr));
+        EXPECT_EQ(batched.read(addr, 0).data, serial.read(addr, 0).data);
+    }
 }
 
 TEST(SecureBaselineTest, NameReflectsOptions)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "controller/mem_controller.hh"
@@ -54,6 +55,34 @@ class StubController : public MemController
   private:
     Time writeLatency_;
     Time readLatency_;
+};
+
+/**
+ * Records every writeBatch() size, then runs the serial base loop, and
+ * how many writes the controller had seen when each read arrived.
+ */
+class BatchSizeRecorder : public StubController
+{
+  public:
+    using StubController::StubController;
+
+    void
+    writeBatch(const CtrlWriteRequest *requests, CtrlWriteResult *results,
+               std::size_t count) override
+    {
+        batchSizes.push_back(count);
+        MemController::writeBatch(requests, results, count);
+    }
+
+    CtrlReadResult
+    read(LineAddr addr, Time now) override
+    {
+        writesSeenAtRead.push_back(writeIssues.size());
+        return StubController::read(addr, now);
+    }
+
+    std::vector<std::size_t> batchSizes;
+    std::vector<std::size_t> writesSeenAtRead;
 };
 
 /** Fixed event script. */
@@ -150,6 +179,100 @@ TEST(CoreModelTest, FullStoreQueueStalls)
     // The second write waits out the first's full latency.
     EXPECT_EQ(ctrl.writeIssues[1].second - ctrl.writeIssues[0].second,
               300 * kNanoSecond + timing.cycles(11));
+}
+
+TEST(CoreModelTest, WritesFlushOneAtATimeOnceTheQueueFills)
+{
+    // A store-queue entry retires only when the queue is full, so the
+    // first storeQueueDepth writes flush together and every later
+    // write flushes alone — why no scheme overrides writeBatch().
+    ::unsetenv("DEWRITE_BATCH"); // Default capacity 16 > depth 8.
+    TimingConfig timing;
+    ASSERT_EQ(timing.storeQueueDepth, 8u);
+    CoreModel core(timing);
+    BatchSizeRecorder ctrl(300 * kNanoSecond, 100 * kNanoSecond);
+
+    constexpr std::size_t kWrites = 100;
+    std::vector<MemEvent> events;
+    for (std::size_t i = 0; i < kWrites; ++i)
+        events.push_back(write(i, 10));
+    ScriptedTrace trace(events);
+    core.run(trace, ctrl, 1000);
+
+    ASSERT_EQ(ctrl.batchSizes.size(), kWrites - 7);
+    EXPECT_EQ(ctrl.batchSizes.front(), 8u);
+    for (std::size_t i = 1; i < ctrl.batchSizes.size(); ++i)
+        EXPECT_EQ(ctrl.batchSizes[i], 1u) << "flush " << i;
+    EXPECT_EQ(ctrl.writeIssues.size(), kWrites);
+    EXPECT_EQ(core.former().writesStaged(), kWrites);
+    EXPECT_EQ(core.former().flushesOnQueueFull(), kWrites - 7);
+    EXPECT_EQ(core.former().flushesOnBatchFull(), 0u);
+}
+
+TEST(CoreModelTest, EveryCoreFlushesAloneOnceItsQueueFills)
+{
+    // Two cores with identical gaps alternate (ties go to core 0), so
+    // the shared former holds core 0's first 8 writes and core 1's
+    // first 7 when core 0's queue fills; from then on each core's
+    // queue stays full and every write flushes alone.
+    ::unsetenv("DEWRITE_BATCH");
+    TimingConfig timing;
+    ASSERT_EQ(timing.storeQueueDepth, 8u);
+    CoreModel core(timing);
+    BatchSizeRecorder ctrl(300 * kNanoSecond, 100 * kNanoSecond);
+
+    constexpr std::size_t kWritesPerCore = 100;
+    std::vector<MemEvent> events_a;
+    std::vector<MemEvent> events_b;
+    for (std::size_t i = 0; i < kWritesPerCore; ++i) {
+        events_a.push_back(write(i, 10));
+        events_b.push_back(write(1000 + i, 10));
+    }
+    ScriptedTrace trace_a(events_a);
+    ScriptedTrace trace_b(events_b);
+    std::vector<TraceSource *> traces{ &trace_a, &trace_b };
+    core.runMulti(traces, ctrl, 10000);
+
+    constexpr std::size_t kWrites = 2 * kWritesPerCore;
+    ASSERT_EQ(ctrl.batchSizes.size(), kWrites - 14);
+    EXPECT_EQ(ctrl.batchSizes.front(), 15u);
+    for (std::size_t i = 1; i < ctrl.batchSizes.size(); ++i)
+        EXPECT_EQ(ctrl.batchSizes[i], 1u) << "flush " << i;
+    EXPECT_EQ(ctrl.writeIssues.size(), kWrites);
+    EXPECT_EQ(core.former().writesStaged(), kWrites);
+    EXPECT_EQ(core.former().flushesOnQueueFull(), kWrites - 14);
+    EXPECT_EQ(core.former().flushes(), kWrites - 14);
+}
+
+TEST(CoreModelTest, ReadAndTraceEndFlushStagedWrites)
+{
+    // A read must observe every staged write, so it flushes them as
+    // one batch before it reaches the controller; the end of the
+    // trace drains whatever is left.
+    ::unsetenv("DEWRITE_BATCH");
+    TimingConfig timing;
+    CoreModel core(timing);
+    BatchSizeRecorder ctrl(300 * kNanoSecond, 100 * kNanoSecond);
+
+    ScriptedTrace trace(
+        { write(1, 10), write(2, 10), write(3, 10), read(1, 10),
+          write(4, 10) });
+    const RunResult result = core.run(trace, ctrl, 100);
+
+    ASSERT_EQ(ctrl.batchSizes, (std::vector<std::size_t>{ 3, 1 }));
+    ASSERT_EQ(ctrl.writeIssues.size(), 4u);
+    ASSERT_EQ(ctrl.readIssues.size(), 1u);
+    EXPECT_EQ(ctrl.writesSeenAtRead, (std::vector<std::size_t>{ 3 }));
+    // Flushed writes keep their own issue times, all before the read.
+    EXPECT_LT(ctrl.writeIssues[2].second, ctrl.readIssues[0].second);
+    EXPECT_GT(ctrl.writeIssues[3].second, ctrl.readIssues[0].second);
+    EXPECT_EQ(core.former().flushesOnRead(), 1u);
+    EXPECT_EQ(core.former().flushesOnTraceEnd(), 1u);
+    EXPECT_EQ(core.former().flushesOnQueueFull(), 0u);
+    EXPECT_EQ(core.former().flushesOnBatchFull(), 0u);
+    EXPECT_EQ(core.former().writesStaged(), 4u);
+    EXPECT_EQ(result.writes, 4u);
+    EXPECT_EQ(result.reads, 1u);
 }
 
 TEST(CoreModelTest, MultiCoreInterleavesByTime)

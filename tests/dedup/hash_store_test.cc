@@ -74,30 +74,6 @@ TEST_F(HashStoreTest, InsertAndLookup)
     EXPECT_EQ(store_.size(), 1u);
 }
 
-// prefetch() is a pure cache hint: hammering it across present,
-// absent, and colliding hashes — including on an empty store — must
-// not perturb chains, references, or statistics.
-TEST_F(HashStoreTest, PrefetchIsPureHint)
-{
-    store_.prefetch(0x1234); // Empty store: must be a safe no-op.
-    EXPECT_TRUE(store_.lookup(0x1234).empty());
-
-    for (std::uint64_t i = 0; i < 200; ++i) {
-        store_.prefetch(i);
-        insert(i % 50, i); // 4-deep chains on 50 hashes.
-        store_.prefetch(i % 50);
-        store_.prefetch(i + 1000); // Never-inserted hashes.
-    }
-    EXPECT_EQ(store_.size(), 200u);
-    EXPECT_EQ(store_.distinctHashes(), 50u);
-    EXPECT_EQ(store_.maxChainLength(), 4u);
-    for (std::uint64_t hash = 0; hash < 50; ++hash) {
-        store_.prefetch(hash);
-        EXPECT_EQ(store_.lookup(hash).size(), 4u);
-        EXPECT_EQ(store_.reference(hash, hash), 1u);
-    }
-}
-
 TEST_F(HashStoreTest, CollisionChains)
 {
     insert(0xbbbb, 1);

@@ -53,7 +53,6 @@ TEST(LineTableTest, ReadsDoNotCreateRecords)
     LineTable lines;
     lines.reserve(1 << 20);
     (void)lines.at(777);
-    lines.prefetch(778);
     std::size_t visited = 0;
     lines.forEach([&](LineAddr, const LineRecord &) { ++visited; });
     EXPECT_EQ(visited, 0u);

@@ -1,15 +1,16 @@
 /**
  * @file
- * Batch-vs-serial parity: the batched write pipeline is invisible.
+ * Batch-vs-serial parity: the write-batch former is invisible.
  *
- * The batch former and the controllers' writeBatch() paths promise
- * strict equivalence — batching overlaps *host-side* work only, so
- * every simulated counter, latency, energy number, and stat must be
- * bit-identical to the serial path. This suite replays the golden
- * experiment matrix at batch sizes spanning the knob's range
- * (including 7, which exercises flush-on-partial-batch, and 64, the
- * cap) at one and eight worker threads; every cell must still match
- * the seed fingerprints, which were produced with no batching at all.
+ * The batch former stages store-queue writes and hands each group to
+ * MemController::writeBatch(), whose contract is strict equivalence
+ * with one write() per member in order, so every simulated counter,
+ * latency, energy number, and stat must be bit-identical to the
+ * serial path. This suite replays the golden experiment matrix at
+ * batch sizes spanning the knob's range (including 7, which exercises
+ * flush-on-partial-batch, and 64, the cap) at one and eight worker
+ * threads; every cell must still match the seed fingerprints, which
+ * were produced with no batching at all.
  *
  * DEWRITE_BATCH itself is an envUint with the fail-fast contract:
  * malformed or out-of-range values die with the variable name.

@@ -4,8 +4,8 @@
  *
  * One matrix, two consumers: golden_parity_test proves the flat
  * data-structure migration reproduces the seed implementation bit for
- * bit, and batch_parity_test proves the batched write pipeline does
- * too at every DEWRITE_BATCH setting. The constants were generated by
+ * bit, and batch_parity_test proves the write-batch former does too
+ * at every DEWRITE_BATCH setting. The constants were generated by
  * running this exact matrix against the pre-migration library
  * (node-based std::unordered_map / std::unordered_set everywhere) and
  * fingerprinting every cell with cellFingerprint().
