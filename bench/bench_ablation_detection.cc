@@ -1,9 +1,9 @@
 /**
  * @file
  * Detection-policy ablation (DESIGN.md §5j): the paper's confirm-read
- * scheme against the unsafe weak-only ablation, the two-tier
- * weak+strong fingerprint scheme, and the adaptive per-epoch
- * controller, across the full 20-application catalog.
+ * scheme against the unsafe weak-only ablation and the two-tier
+ * weak+strong fingerprint scheme, across the full 20-application
+ * catalog.
  *
  * For each policy the sweep reports detection latency, confirmation
  * reads paid and avoided, strong-fingerprint activity, write
@@ -12,10 +12,9 @@
  * fingerprint* per policy — a CRC-32 over the per-app decision-level
  * signatures (detectionSignature). On collision-free traces every
  * confirming policy resolves the same candidates to the same verdicts,
- * so the weak+strong and adaptive fingerprints must equal the
- * confirm-read one byte-for-byte; the bench exits non-zero when they
- * do not, or when a confirming policy fails to reduce confirmation
- * reads.
+ * so the weak+strong fingerprint must equal the confirm-read one
+ * byte-for-byte; the bench exits non-zero when it does not, or when
+ * weak+strong fails to reduce confirmation reads.
  *
  * Two knobs make the parity pin well-defined. PNA is disabled:
  * prediction-gated NVM queries make authoritativeness depend on
@@ -46,18 +45,10 @@ using namespace dewrite;
 
 namespace {
 
-/**
- * Adaptive epoch length used by the sweep: short enough that even a
- * --quick cell (6k events) rolls several epochs, long enough for a
- * meaningful duplicate-ratio estimate.
- */
-constexpr std::uint64_t kEpochWrites = 512;
-
 constexpr DetectPolicy kPolicies[] = {
     DetectPolicy::ConfirmRead,
     DetectPolicy::WeakOnly,
     DetectPolicy::WeakStrong,
-    DetectPolicy::Adaptive,
 };
 
 /** Aggregates of one policy's 20-app sweep. */
@@ -78,7 +69,6 @@ struct PolicyRun
     double confirmReadsAvoided = 0.0;
     double strongFpComputes = 0.0;
     double strongFpHits = 0.0;
-    double modeSwitches = 0.0;
     double unsafeCorruptions = 0.0;
 
     std::uint32_t fingerprint = 0; //!< CRC-32 over detection signatures.
@@ -117,7 +107,6 @@ runPolicy(DetectPolicy policy, const std::vector<AppProfile> &apps,
 {
     SchemeOptions scheme = dewriteScheme(DedupMode::Predicted);
     scheme.dewrite.detect = policy;
-    scheme.dewrite.detectEpochWrites = kEpochWrites;
     scheme.dewrite.pnaEnabled = false;
 
     PolicyRun run;
@@ -145,8 +134,6 @@ runPolicy(DetectPolicy policy, const std::vector<AppProfile> &apps,
             cell, "controller.dedup.detect.strong_fp_computes");
         run.strongFpHits += metricValue(
             cell, "controller.dedup.detect.strong_fp_hits");
-        run.modeSwitches +=
-            metricValue(cell, "controller.dedup.detect.mode_switches");
         run.unsafeCorruptions += cell.stats.get("unsafe_corruptions");
         signatures += detectionSignature(cell);
     }
@@ -174,10 +161,9 @@ main(int argc, char **argv)
     const std::vector<AppProfile> &apps = appCatalog();
 
     std::printf("Detection-policy ablation: %zu apps x %zu policies, "
-                "%llu events/cell (adaptive epoch %llu writes)\n\n",
+                "%llu events/cell\n\n",
                 apps.size(), std::size(kPolicies),
-                static_cast<unsigned long long>(events),
-                static_cast<unsigned long long>(kEpochWrites));
+                static_cast<unsigned long long>(events));
 
     std::vector<PolicyRun> runs;
     for (DetectPolicy policy : kPolicies)
@@ -197,37 +183,27 @@ main(int argc, char **argv)
     }
     table.print();
 
-    // Parity: every confirming policy must produce decision-identical
+    // Parity: the confirming policies must produce decision-identical
     // results on these (collision-free) traces; weak-only is reported
     // but not pinned — trusting the CRC is exactly what it ablates.
     const PolicyRun &confirm = runs[0];
     const PolicyRun &weak_only = runs[1];
     const PolicyRun &strong = runs[2];
-    const PolicyRun &adaptive = runs[3];
     const bool strong_parity = strong.fingerprint == confirm.fingerprint;
-    const bool adaptive_parity =
-        adaptive.fingerprint == confirm.fingerprint;
-    // The perf claim itself: both two-tier policies must resolve some
+    // The perf claim itself: the two-tier policy must resolve some
     // confirmations by fingerprint instead of a read.
     const bool strong_reduces =
         strong.confirmReads < confirm.confirmReads &&
         strong.confirmReadsAvoided > 0;
-    const bool adaptive_reduces =
-        adaptive.confirmReads < confirm.confirmReads &&
-        adaptive.confirmReadsAvoided > 0;
 
-    std::printf("\nparity: weak-strong %s, adaptive %s; "
-                "confirm reads %s/%s reduced\n",
+    std::printf("\nparity: weak-strong %s; confirm reads %s reduced\n",
                 strong_parity ? "ok" : "MISMATCH",
-                adaptive_parity ? "ok" : "MISMATCH",
-                strong_reduces ? "ok" : "NOT",
-                adaptive_reduces ? "ok" : "NOT");
+                strong_reduces ? "ok" : "NOT");
 
     obs::BenchReport report("detection", events, runnerThreads());
     if (!report.opened())
         return 1;
     obs::JsonWriter &w = report.json();
-    w.field("adaptive_epoch_writes", kEpochWrites);
     w.key("policies");
     w.beginArray();
     for (const PolicyRun &r : runs) {
@@ -242,7 +218,6 @@ main(int argc, char **argv)
         w.field("confirm_reads_avoided", r.confirmReadsAvoided);
         w.field("strong_fp_computes", r.strongFpComputes);
         w.field("strong_fp_hits", r.strongFpHits);
-        w.field("mode_switches", r.modeSwitches);
         w.field("unsafe_corruptions", r.unsafeCorruptions);
         w.field("write_reduction", r.writeReduction());
         w.field("bits_programmed", r.bitsProgrammed);
@@ -258,7 +233,6 @@ main(int argc, char **argv)
     w.beginObject();
     w.field("reference", confirm.name);
     w.field("weak_strong_matches", strong_parity);
-    w.field("adaptive_matches", adaptive_parity);
     w.field("weak_only_fingerprint",
             static_cast<std::uint64_t>(weak_only.fingerprint));
     w.endObject();
@@ -270,14 +244,13 @@ main(int argc, char **argv)
     }
     std::printf("wrote %s\n", report.path().c_str());
 
-    if (!strong_parity || !adaptive_parity) {
+    if (!strong_parity) {
         std::fprintf(stderr, "detection parity fingerprints diverged\n");
         return 1;
     }
-    if (!strong_reduces || !adaptive_reduces) {
+    if (!strong_reduces) {
         std::fprintf(stderr,
-                     "two-tier policies failed to avoid confirmation "
-                     "reads\n");
+                     "weak-strong failed to avoid confirmation reads\n");
         return 1;
     }
     return 0;

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include <array>
+#include <string>
 #include <unordered_map>
 
 #include "common/table_printer.hh"
@@ -62,6 +63,17 @@ accuracy(const std::vector<bool> &states, unsigned window)
     return predictor.accuracy();
 }
 
+/** JSON key of history window @p window ("k3"). */
+std::string
+windowKey(unsigned window)
+{
+    // Built with += only: GCC 12's -Wrestrict misfires on the
+    // temporary produced by chained operator+ concatenation.
+    std::string key = "k";
+    key += std::to_string(window);
+    return key;
+}
+
 } // namespace
 
 int
@@ -98,7 +110,7 @@ main()
         for (std::size_t w = 0; w < 4; ++w) {
             sums[w] += accs[a][w];
             row.push_back(TablePrinter::percent(accs[a][w]));
-            json.field("k" + std::to_string(windows[w]), accs[a][w]);
+            json.field(windowKey(windows[w]), accs[a][w]);
         }
         json.endObject();
         table.addRow(std::move(row));
@@ -114,7 +126,7 @@ main()
     json.key("mean_accuracy");
     json.beginObject();
     for (std::size_t w = 0; w < 4; ++w)
-        json.field("k" + std::to_string(windows[w]), sums[w] / n);
+        json.field(windowKey(windows[w]), sums[w] / n);
     json.endObject();
     json.key("profile");
     profile.writeJson(json);

@@ -6,10 +6,13 @@
 
 #include "common/env.hh"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <string>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -59,27 +62,6 @@ envUint(const char *name, std::uint64_t fallback, std::uint64_t min,
     return parsed;
 }
 
-std::size_t
-envChoice(const char *name, std::size_t fallback,
-          const char *const *names, std::size_t count)
-{
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): see envRaw above.
-    const char *value = std::getenv(name);
-    if (!value)
-        return fallback;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (std::strcmp(value, names[i]) == 0)
-            return i;
-    }
-    std::string accepted;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (i > 0)
-            accepted += ", ";
-        accepted += names[i];
-    }
-    fatal("%s=\"%s\" is not one of: %s", name, value, accepted.c_str());
-}
-
 const std::vector<const char *> &
 knownKnobs()
 {
@@ -89,8 +71,6 @@ knownKnobs()
         "DEWRITE_AUDIT",
         "DEWRITE_AUDIT_EPOCH",
         "DEWRITE_BATCH",
-        "DEWRITE_DETECT",
-        "DEWRITE_DETECT_EPOCH",
         "DEWRITE_EVENTS",
         "DEWRITE_LOG",
         "DEWRITE_SHARDS",
@@ -100,6 +80,24 @@ knownKnobs()
         "DEWRITE_THREADS",
     };
     return knobs;
+}
+
+void
+rejectUnknownKnobs()
+{
+    // Same single-threaded start-up contract as envRaw above.
+    const std::vector<const char *> &knobs = knownKnobs();
+    for (char **entry = environ; *entry; ++entry) {
+        const std::string_view var(*entry);
+        const std::string_view name = var.substr(0, var.find('='));
+        if (!name.starts_with("DEWRITE_"))
+            continue;
+        if (std::none_of(knobs.begin(), knobs.end(),
+                         [&](const char *knob) { return name == knob; })) {
+            fatal("%.*s is not a known DEWRITE_* knob (typo or retired)",
+                  static_cast<int>(name.size()), name.data());
+        }
+    }
 }
 
 } // namespace dewrite

@@ -49,14 +49,6 @@ std::uint64_t envUint(const char *name, std::uint64_t fallback,
                       std::uint64_t min, std::uint64_t max);
 
 /**
- * Strict enumerated choice: unset returns @p fallback; a value equal
- * to one of the @p count strings in @p names parses to its index;
- * anything else is rejected with fatal() listing every accepted name.
- */
-std::size_t envChoice(const char *name, std::size_t fallback,
-                      const char *const *names, std::size_t count);
-
-/**
  * Every DEWRITE_* environment knob the simulator recognizes, sorted.
  * Mirrors (and is cross-checked by dewrite-lint against) the
  * KNOWN_KNOBS catalogue in tools/dewrite_lint.py; bench provenance
@@ -64,6 +56,13 @@ std::size_t envChoice(const char *name, std::size_t fallback,
  * from its own header.
  */
 const std::vector<const char *> &knownKnobs();
+
+/**
+ * Rejects with fatal(), naming the variable, any DEWRITE_* variable
+ * in the environment that knownKnobs() does not list — a typo, or a
+ * knob that was retired and would otherwise be ignored silently.
+ */
+void rejectUnknownKnobs();
 
 } // namespace dewrite
 

@@ -39,8 +39,7 @@ DeWriteController::DeWriteController(const SystemConfig &config,
               DedupEngine::Options{ options.detect, reducer_.get(),
                                     /*maxChainProbe=*/4,
                                     options.hashFunction,
-                                    /*counterBits=*/28,
-                                    options.detectEpochWrites }),
+                                    /*counterBits=*/28 }),
       predictor_(options.historyBits), options_(options),
       auditPerEpoch_(auditEnabled()),
       auditEpochWrites_(auditPerEpoch_ ? auditEpochWrites() : 0)

@@ -52,15 +52,11 @@ class DeWriteController : public MemController
         unsigned historyBits = 3; //!< Predictor window (Figure 4).
 
         /**
-         * How weak-fingerprint matches resolve (DESIGN.md §5j). The
-         * default follows DEWRITE_DETECT so every scheme — examples,
-         * experiments, service shards — inherits the knob; the paper's
-         * confirm-read remains the fallback when it is unset.
+         * How weak-fingerprint matches resolve (DESIGN.md §5j): the
+         * paper's confirm-read unless a harness sets another policy
+         * in code.
          */
-        DetectPolicy detect = detectPolicyFromEnv();
-
-        /** Adaptive epoch length in commits (DEWRITE_DETECT_EPOCH). */
-        std::uint64_t detectEpochWrites = detectEpochFromEnv();
+        DetectPolicy detect = DetectPolicy::ConfirmRead;
 
         BitTechnique technique = BitTechnique::None; //!< Fig. 13 combos.
 

@@ -21,7 +21,6 @@
 #include <algorithm>
 
 #include "common/crc32.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "nvm/nvm_device.hh"
 
@@ -37,26 +36,8 @@ detectPolicyName(DetectPolicy policy)
         return "weak-only";
       case DetectPolicy::WeakStrong:
         return "weak-strong";
-      case DetectPolicy::Adaptive:
-        return "adaptive";
     }
     panic("bad detect policy");
-}
-
-DetectPolicy
-detectPolicyFromEnv()
-{
-    // Names indexed by the DetectPolicy enum values.
-    static const char *const kNames[] = { "confirm-read", "weak-only",
-                                          "weak-strong", "adaptive" };
-    return static_cast<DetectPolicy>(
-        envChoice("DEWRITE_DETECT", 0, kNames, 4));
-}
-
-std::uint64_t
-detectEpochFromEnv()
-{
-    return envUint("DEWRITE_DETECT_EPOCH", 4096, 64, 1ULL << 20);
 }
 
 DedupEngine::DedupEngine(const SystemConfig &config, NvmDevice &device,
@@ -165,13 +146,6 @@ DedupEngine::registerMetrics(obs::MetricRegistry::Scope scope) const
                 "dedup logic + engine-issued AES energy");
 
     obs::MetricRegistry::Scope detect = scope.scope("detect");
-    detect.gauge("mode",
-                 [this] {
-                     return static_cast<double>(
-                         static_cast<int>(operationalDetectMode()));
-                 },
-                 "operational detection mode (0=confirm-read "
-                 "1=weak-only 2=weak-strong)");
     detect.counter("detects", detects_,
                    "authoritative duplicate detections");
     detect.counter("confirm_reads", confirmReads_,
@@ -185,8 +159,6 @@ DedupEngine::registerMetrics(obs::MetricRegistry::Scope scope) const
                    "candidates compared via a valid cached fingerprint");
     detect.counter("strong_fp_caches", strongFpCaches_,
                    "fingerprints lazily installed on first confirmation");
-    detect.counter("mode_switches", detectModeSwitches_,
-                   "adaptive epoch transitions between tiers");
     detect.gauge("latency_ps_total",
                  [this] {
                      return static_cast<double>(detectPicoseconds_);
@@ -290,43 +262,6 @@ DedupEngine::storedEquals(LineAddr slot, const Line &plaintext)
     return equalsXor(*ciphertext, plaintext, pad);
 }
 
-void
-DedupEngine::noteCommitForEpoch(bool duplicate)
-{
-    if (options_.detect != DetectPolicy::Adaptive)
-        return;
-    ++epochWrites_;
-    if (duplicate)
-        ++epochDups_;
-    if (epochWrites_ >= options_.detectEpochWrites)
-        rollDetectEpoch();
-}
-
-void
-DedupEngine::rollDetectEpoch()
-{
-    const double ratio = static_cast<double>(epochDups_) /
-                         static_cast<double>(epochWrites_);
-    epochWrites_ = 0;
-    epochDups_ = 0;
-
-    DetectPolicy next = adaptiveMode_;
-    if (adaptiveMode_ == DetectPolicy::WeakStrong) {
-        // Hysteresis: drop back to confirmation reads only when the
-        // duplicate ratio falls clearly below the entry threshold, so
-        // a workload hovering near one threshold cannot thrash the
-        // mode every epoch.
-        if (ratio < kExitStrongRatio)
-            next = DetectPolicy::ConfirmRead;
-    } else if (ratio >= kEnterStrongRatio) {
-        next = DetectPolicy::WeakStrong;
-    }
-    if (next != adaptiveMode_) {
-        adaptiveMode_ = next;
-        detectModeSwitches_.increment();
-    }
-}
-
 Line
 DedupEngine::decryptStored(LineAddr slot)
 {
@@ -393,10 +328,10 @@ DedupEngine::detect(const Line &plaintext, Time now, bool allow_nvm_fill)
     // Resolve this write's detection tier once: a cryptographic
     // fingerprinter (the Table I comparator) is trusted outright — the
     // WeakOnly branch below, without the unsafe connotation — and any
-    // other policy resolves through the per-epoch adaptive state.
+    // other fingerprint follows the configured policy.
     const DetectPolicy mode = fingerprinter_.cryptographic()
         ? DetectPolicy::WeakOnly
-        : operationalDetectMode();
+        : options_.detect;
 
     // The incoming line's strong fingerprint is computed (and charged)
     // at most once per detection, lazily at the first candidate that
@@ -582,7 +517,6 @@ DedupEngine::commitDuplicate(LineAddr init_addr, const DetectOutcome &detect,
     if (!detect.duplicate)
         panic("commitDuplicate without a confirmed duplicate");
 
-    noteCommitForEpoch(true);
     obs::StageTimer timer(stageSink(stageCycles_.commit));
     WriteCommit commit;
     commit.slot = detect.dupSlot;
@@ -625,7 +559,6 @@ WriteCommit
 DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
                           std::uint64_t hash, Time now, Time encrypt_ready)
 {
-    noteCommitForEpoch(false);
     obs::StageTimer timer(stageSink(stageCycles_.commit));
     WriteCommit commit;
     Time t = now;

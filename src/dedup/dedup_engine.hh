@@ -68,19 +68,10 @@ enum class DetectPolicy
      *  hash store; fall back to a confirmation read (which also
      *  caches the fingerprint) when the candidate's is not valid. */
     WeakStrong = 2,
-    /** Per-epoch choice between ConfirmRead and WeakStrong from the
-     *  observed duplicate ratio, with hysteresis. */
-    Adaptive = 3,
 };
 
 /** Stable identifier of @p policy ("confirm-read", "weak-only", ...). */
 const char *detectPolicyName(DetectPolicy policy);
-
-/** DEWRITE_DETECT: detection policy, default confirm-read. */
-DetectPolicy detectPolicyFromEnv();
-
-/** DEWRITE_DETECT_EPOCH: adaptive epoch length in writes. */
-std::uint64_t detectEpochFromEnv();
 
 /** Result of duplication detection for one incoming line. */
 struct DetectOutcome
@@ -122,9 +113,7 @@ class DedupEngine
          * How weak-fingerprint matches are resolved (DESIGN.md §5j).
          * ConfirmRead is the paper's design and the default; WeakOnly
          * is the unsafe ablation that trusts the 32-bit hash;
-         * WeakStrong compares cached 128-bit strong fingerprints;
-         * Adaptive switches between ConfirmRead and WeakStrong per
-         * epoch from the observed duplicate ratio.
+         * WeakStrong compares cached 128-bit strong fingerprints.
          */
         DetectPolicy detect = DetectPolicy::ConfirmRead;
 
@@ -161,12 +150,6 @@ class DedupEngine
          * writes.
          */
         unsigned counterBits = 28;
-
-        /**
-         * Adaptive-policy epoch length: commits per re-evaluation of
-         * the operational detection mode (DEWRITE_DETECT_EPOCH).
-         */
-        std::uint64_t detectEpochWrites = 4096;
     };
 
     DedupEngine(const SystemConfig &config, NvmDevice &device,
@@ -287,22 +270,7 @@ class DedupEngine
     {
         return strongFpCaches_.value();
     }
-    std::uint64_t detectModeSwitches() const
-    {
-        return detectModeSwitches_.value();
-    }
     /** @} */
-
-    /**
-     * The detection mode writes currently run under: the configured
-     * policy, resolved per epoch when that policy is Adaptive (never
-     * Adaptive itself).
-     */
-    DetectPolicy operationalDetectMode() const
-    {
-        return options_.detect == DetectPolicy::Adaptive ? adaptiveMode_
-                                                         : options_.detect;
-    }
 
     /** Sentinel realAddr: "remapped to nothing" (see DESIGN.md §5). */
     static constexpr LineAddr kNoData = kInvalidAddr;
@@ -377,16 +345,6 @@ class DedupEngine
     bool storedEquals(LineAddr slot, const Line &plaintext);
 
     /**
-     * Adaptive-policy epoch accounting: every commit feeds the
-     * duplicate ratio; on epoch end the operational mode is
-     * re-evaluated with hysteresis (DESIGN.md §5j).
-     */
-    void noteCommitForEpoch(bool duplicate);
-
-    /** Re-evaluates adaptiveMode_ from the closing epoch's ratio. */
-    void rollDetectEpoch();
-
-    /**
      * The slot's stored content, decrypted host-side (an unwritten
      * slot reads as zero, whose decryption is the pad itself) — for
      * caching a mismatching candidate's strong fingerprint.
@@ -441,22 +399,12 @@ class DedupEngine
     Counter missedBySaturation_;
     Counter counterWraps_;
 
-    /** @{ Two-tier detection state and telemetry (DESIGN.md §5j). */
-    /** Adaptive enter-WeakStrong threshold on the epoch dup ratio. */
-    static constexpr double kEnterStrongRatio = 0.30;
-    /** Adaptive exit-WeakStrong threshold (hysteresis band below). */
-    static constexpr double kExitStrongRatio = 0.20;
-
-    DetectPolicy adaptiveMode_ = DetectPolicy::ConfirmRead;
-    std::uint64_t epochWrites_ = 0;
-    std::uint64_t epochDups_ = 0;
-
+    /** @{ Two-tier detection telemetry (DESIGN.md §5j). */
     Counter confirmReads_;
     Counter confirmReadsAvoided_;
     Counter strongFpComputes_;
     Counter strongFpHits_;
     Counter strongFpCaches_;
-    Counter detectModeSwitches_;
     Counter detects_;
     std::uint64_t detectPicoseconds_ = 0;
     /** @} */

@@ -83,13 +83,12 @@ RecoveryManager::rebuild()
     engine_.hashStore_.clear();
     engine_.fsm_ = FreeSpaceTable(engine_.config_.memory.numLines);
 
-    // Under the weak+strong policies the scan already streams every
+    // Under the weak+strong policy the scan already streams every
     // stored line past the controller, so the strong-fingerprint caches
     // are rebuilt in the same pass — a fresh boot starts with warm
     // fingerprints instead of re-paying one confirmation read each.
     const bool rebuild_strong_fps =
-        engine_.options_.detect == DetectPolicy::WeakStrong ||
-        engine_.options_.detect == DetectPolicy::Adaptive;
+        engine_.options_.detect == DetectPolicy::WeakStrong;
 
     std::vector<LineAddr> orphaned;
     lines.forEachDataSlot(

@@ -15,10 +15,8 @@
  * write reduction and prediction accuracy per epoch.
  *
  * Cost discipline: a System without tracing enabled carries a null
- * tracer pointer, so the hot path pays one predictable branch. When
- * the tracer is compiled out (cmake -DDEWRITE_TRACE=OFF, which defines
- * DEWRITE_TRACE=0), record() is an empty inline and the ring is never
- * allocated, so the entire mechanism vanishes from the binary.
+ * tracer pointer, so an untraced run pays one predictable null check
+ * per write and never allocates the ring.
  */
 
 #ifndef DEWRITE_OBS_TRACE_RING_HH
@@ -28,10 +26,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-#ifndef DEWRITE_TRACE
-#define DEWRITE_TRACE 1
-#endif
 
 namespace dewrite::obs {
 
@@ -110,15 +104,8 @@ class WriteTracer
   public:
     explicit WriteTracer(const TraceConfig &config = TraceConfig());
 
-    /** False when the tracer was compiled out (DEWRITE_TRACE=0). */
-    static constexpr bool compiledIn() { return DEWRITE_TRACE != 0; }
-
-#if DEWRITE_TRACE
     /** Records one event; overwrites the oldest once full. */
     void record(const WriteEvent &event);
-#else
-    void record(const WriteEvent &) {}
-#endif
 
     /** Total events offered to the tracer. */
     std::uint64_t recorded() const { return recorded_; }

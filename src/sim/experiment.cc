@@ -14,7 +14,6 @@
 #include "common/crc32.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "dedup/dedup_engine.hh"
 #include "dedup/metadata_auditor.hh"
 #include "obs/stage_profile.hh"
 #include "obs/telemetry.hh"
@@ -131,16 +130,15 @@ experimentEvents()
 {
     // Every bench resolves its event budget here, so this is the
     // shared spot to validate the rest of the experiment environment:
-    // a malformed DEWRITE_LOG, DEWRITE_AUDIT, DEWRITE_AUDIT_EPOCH,
-    // DEWRITE_BATCH, DEWRITE_DETECT, DEWRITE_DETECT_EPOCH,
+    // an unknown or retired DEWRITE_* name, or a malformed DEWRITE_LOG,
+    // DEWRITE_AUDIT, DEWRITE_AUDIT_EPOCH, DEWRITE_BATCH,
     // DEWRITE_STAGE_PROFILE, or DEWRITE_TELEMETRY_EVERY dies before any
     // cell runs (even when the value would never be read).
+    rejectUnknownKnobs();
     logLevel();
     auditEnabled();
     auditEpochWrites();
     writeBatchSize();
-    detectPolicyFromEnv();
-    detectEpochFromEnv();
     obs::stageProfileEnabled();
     obs::TelemetryConfig::fromEnv();
     return envUint("DEWRITE_EVENTS", 120000, 1, kMaxExperimentEvents);

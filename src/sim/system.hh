@@ -93,9 +93,7 @@ class System
      * Allocates the write-pipeline event tracer (if not already on)
      * and attaches it to the controller. Per-write events land in a
      * fixed ring (see obs/trace_ring.hh); export them with
-     * obs::writeChromeTrace / obs::writeEpochSeries. When the tracer
-     * is compiled out (DEWRITE_TRACE=0) the ring records nothing but
-     * the call remains valid.
+     * obs::writeChromeTrace / obs::writeEpochSeries.
      */
     obs::WriteTracer &enableTracing(
         const obs::TraceConfig &config = obs::TraceConfig());

@@ -1,7 +1,8 @@
 /**
  * @file
  * Fail-fast environment helper tests: every DEWRITE_* variable goes
- * through envFlag/envUint, so their rejection behavior is the
+ * through envFlag/envUint, and every DEWRITE_* name must be one
+ * knownKnobs() lists, so their rejection behavior is the
  * simulator-wide contract.
  */
 
@@ -10,24 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
+#include <string>
+#include <string_view>
+#include <vector>
 
-#include "dedup/dedup_engine.hh"
+#include "scoped_env.hh"
 
 namespace dewrite {
 namespace {
-
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv() { ::unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 constexpr const char *kVar = "DEWRITE_ENV_TEST_VAR";
 
@@ -109,92 +101,70 @@ TEST(EnvUintDeathTest, RejectsMalformedAndOutOfRange)
     }
 }
 
-TEST(EnvChoiceTest, FallbackWhenUnset)
+TEST(KnownKnobsTest, SortedUniqueAndPrefixed)
 {
-    ::unsetenv(kVar);
-    static const char *const names[] = { "alpha", "beta", "gamma" };
-    EXPECT_EQ(envChoice(kVar, 2, names, 3), 2u);
-}
-
-TEST(EnvChoiceTest, MatchesExactNames)
-{
-    static const char *const names[] = { "alpha", "beta", "gamma" };
-    {
-        ScopedEnv env(kVar, "alpha");
-        EXPECT_EQ(envChoice(kVar, 2, names, 3), 0u);
-    }
-    {
-        ScopedEnv env(kVar, "gamma");
-        EXPECT_EQ(envChoice(kVar, 0, names, 3), 2u);
+    constexpr std::string_view kPrefix = "DEWRITE_";
+    const std::vector<const char *> &knobs = knownKnobs();
+    ASSERT_FALSE(knobs.empty());
+    for (std::size_t i = 0; i < knobs.size(); ++i) {
+        const std::string_view knob = knobs[i];
+        EXPECT_TRUE(knob.starts_with(kPrefix)) << knob;
+        EXPECT_GT(knob.size(), kPrefix.size()) << knob;
+        if (i > 0) {
+            EXPECT_LT(std::string_view(knobs[i - 1]), knob) << knob;
+        }
     }
 }
 
-TEST(EnvChoiceDeathTest, RejectsUnknownAndListsTheChoices)
+TEST(RejectUnknownKnobsTest, AcceptsEveryKnownKnob)
+{
+    // The scan checks names only: a known knob passes whatever its
+    // value, which the knob's own parser validates.
+    std::deque<ScopedEnv> env;
+    for (const char *knob : knownKnobs())
+        env.emplace_back(knob, "not-parsed-here");
+    rejectUnknownKnobs();
+}
+
+TEST(RejectUnknownKnobsTest, IgnoresNamesWithoutThePrefix)
+{
+    std::deque<ScopedEnv> env;
+    for (const char *name :
+         { "DEWRITE", "DEWRITEX_EVENTS", "dewrite_events",
+           "MY_DEWRITE_EVENTS" })
+        env.emplace_back(name, "1");
+    rejectUnknownKnobs();
+}
+
+TEST(RejectUnknownKnobsDeathTest, NamesTheUnknownVariable)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    static const char *const names[] = { "alpha", "beta" };
-    for (const char *bad : { "Alpha", "alph", "", " alpha", "2" }) {
-        ScopedEnv env(kVar, bad);
-        EXPECT_EXIT(envChoice(kVar, 0, names, 2),
-                    ::testing::ExitedWithCode(1), "alpha, beta")
-            << "value: \"" << bad << '"';
-    }
+    ScopedEnv env(kVar, "1");
+    EXPECT_EXIT(rejectUnknownKnobs(), ::testing::ExitedWithCode(1),
+                std::string(kVar) + " is not a known");
 }
 
-TEST(DetectKnobTest, PolicyDefaultsToConfirmRead)
+TEST(RejectUnknownKnobsDeathTest, MatchesWholeNamesOnly)
 {
-    ::unsetenv("DEWRITE_DETECT");
-    EXPECT_EQ(detectPolicyFromEnv(), DetectPolicy::ConfirmRead);
-}
-
-TEST(DetectKnobTest, PolicyParsesEveryName)
-{
-    {
-        ScopedEnv env("DEWRITE_DETECT", "confirm-read");
-        EXPECT_EQ(detectPolicyFromEnv(), DetectPolicy::ConfirmRead);
-    }
-    {
-        ScopedEnv env("DEWRITE_DETECT", "weak-only");
-        EXPECT_EQ(detectPolicyFromEnv(), DetectPolicy::WeakOnly);
-    }
-    {
-        ScopedEnv env("DEWRITE_DETECT", "weak-strong");
-        EXPECT_EQ(detectPolicyFromEnv(), DetectPolicy::WeakStrong);
-    }
-    {
-        ScopedEnv env("DEWRITE_DETECT", "adaptive");
-        EXPECT_EQ(detectPolicyFromEnv(), DetectPolicy::Adaptive);
-    }
-}
-
-TEST(DetectKnobDeathTest, PolicyRejectsUnknownNames)
-{
+    // A known knob's prefix, extension or the bare prefix is a
+    // different name, so it is rejected like any typo.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    for (const char *bad : { "WeakStrong", "strong", "2", "" }) {
-        ScopedEnv env("DEWRITE_DETECT", bad);
-        EXPECT_EXIT(detectPolicyFromEnv(),
-                    ::testing::ExitedWithCode(1), "DEWRITE_DETECT")
-            << "value: \"" << bad << '"';
+    for (const char *name :
+         { "DEWRITE_", "DEWRITE_AUDI", "DEWRITE_EVENTS_X" }) {
+        ScopedEnv env(name, "1");
+        EXPECT_EXIT(rejectUnknownKnobs(), ::testing::ExitedWithCode(1),
+                    std::string(name) + " is not a known")
+            << name;
     }
 }
 
-TEST(DetectKnobTest, EpochDefaultsAndParses)
+TEST(RejectUnknownKnobsDeathTest, EmptyValueStillCounts)
 {
-    ::unsetenv("DEWRITE_DETECT_EPOCH");
-    EXPECT_EQ(detectEpochFromEnv(), 4096u);
-    ScopedEnv env("DEWRITE_DETECT_EPOCH", "128");
-    EXPECT_EQ(detectEpochFromEnv(), 128u);
-}
-
-TEST(DetectKnobDeathTest, EpochRejectsOutOfRangeValues)
-{
+    // Setting a retired knob to "" is still setting it.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    for (const char *bad : { "0", "63", "1048577", "lots" }) {
-        ScopedEnv env("DEWRITE_DETECT_EPOCH", bad);
-        EXPECT_EXIT(detectEpochFromEnv(),
-                    ::testing::ExitedWithCode(1), "DEWRITE_DETECT_EPOCH")
-            << "value: \"" << bad << '"';
-    }
+    ScopedEnv env("DEWRITE_DETECT_EPOCH", "");
+    EXPECT_EXIT(rejectUnknownKnobs(), ::testing::ExitedWithCode(1),
+                "DEWRITE_DETECT_EPOCH is not a known");
 }
 
 } // namespace

@@ -213,6 +213,40 @@ TEST(DeWriteControllerTest, NameReflectsModeAndTechnique)
     EXPECT_EQ(ctrl.name(), "dewrite-parallel+DEUCE");
 }
 
+TEST(DeWriteControllerTest, NameCarriesANonDefaultDetectPolicy)
+{
+    NvmDevice device(config());
+    EXPECT_EQ(DeWriteController(config(), device, key()).name(),
+              "dewrite-predicted");
+    DeWriteController::Options options;
+    options.detect = DetectPolicy::WeakStrong;
+    EXPECT_EQ(DeWriteController(config(), device, key(), options).name(),
+              "dewrite-predicted+weak-strong");
+    options.detect = DetectPolicy::WeakOnly;
+    EXPECT_EQ(DeWriteController(config(), device, key(), options).name(),
+              "dewrite-predicted+weak-only");
+}
+
+TEST(DeWriteControllerTest, DefaultsToConfirmReadDetection)
+{
+    // Other policies are set only in code; a default controller runs
+    // the paper's scheme and confirms each weak match with a read.
+    EXPECT_EQ(DeWriteController::Options().detect,
+              DetectPolicy::ConfirmRead);
+    NvmDevice device(config());
+    DeWriteController ctrl(config(), device, key());
+    Rng rng(120);
+    const Line data = Line::random(rng);
+    for (LineAddr addr = 1; addr <= 4; ++addr)
+        ctrl.write(addr, data, 0);
+    EXPECT_EQ(ctrl.engine().duplicateCommits(), 3u);
+    EXPECT_EQ(ctrl.engine().confirmReads(), 3u);
+    EXPECT_EQ(ctrl.engine().confirmReadsAvoided(), 0u);
+    EXPECT_EQ(ctrl.engine().strongFpCaches(), 0u);
+    for (LineAddr addr = 1; addr <= 4; ++addr)
+        EXPECT_EQ(ctrl.read(addr, 0).data, data) << addr;
+}
+
 TEST(DeWriteControllerTest, BitTechniqueComposesWithDedup)
 {
     NvmDevice device(config());

@@ -2,8 +2,8 @@
  * @file
  * Two-tier detection tests (DESIGN.md §5j): fingerprint caching and
  * invalidation through the record lifecycle, confirm-read elimination,
- * decision parity with the paper's confirm-read mode, the adaptive
- * per-epoch controller, and fingerprint rewarming through recovery.
+ * decision parity with the paper's confirm-read mode, and fingerprint
+ * rewarming through recovery.
  */
 
 #include "dedup/dedup_engine.hh"
@@ -44,16 +44,11 @@ key()
 class PolicyEngine
 {
   public:
-    explicit PolicyEngine(DedupEngine::Options options)
+    explicit PolicyEngine(DetectPolicy policy)
         : device_(config()), cme_(key()),
           metadata_(config(), device_, config().memory.numLines),
-          engine_(config(), device_, metadata_, cme_, options)
-    {
-    }
-
-    explicit PolicyEngine(DetectPolicy policy)
-        : PolicyEngine(DedupEngine::Options{ policy, nullptr, 4,
-                                             HashFunction::Crc32 })
+          engine_(config(), device_, metadata_, cme_,
+                  DedupEngine::Options{ policy })
     {
     }
 
@@ -95,7 +90,67 @@ TEST(DetectPolicyTest, NamesRoundTrip)
     EXPECT_STREQ(detectPolicyName(DetectPolicy::WeakOnly), "weak-only");
     EXPECT_STREQ(detectPolicyName(DetectPolicy::WeakStrong),
                  "weak-strong");
-    EXPECT_STREQ(detectPolicyName(DetectPolicy::Adaptive), "adaptive");
+}
+
+TEST(ConfirmReadTest, NeverTouchesTheStrongTier)
+{
+    // The paper's policy reads every weak-matching candidate, refuted
+    // collisions and true duplicates alike, and never computes or
+    // caches a strong fingerprint.
+    PolicyEngine pe(DetectPolicy::ConfirmRead);
+    Rng rng(509);
+    const Line base = Line::random(rng);
+    const Line forged = forgeCrc32Collision(base, rng);
+
+    pe.write(1, base);
+    const DetectOutcome refuted = pe.write(2, forged);
+    EXPECT_FALSE(refuted.duplicate);
+    EXPECT_EQ(refuted.confirmReads, 1u);
+
+    // Newest-first: slot 2 (forged) is read and refuted, then slot 1
+    // is read and confirmed.
+    for (LineAddr addr = 3; addr < 6; ++addr) {
+        const DetectOutcome det = pe.write(addr, base);
+        EXPECT_TRUE(det.duplicate) << addr;
+        EXPECT_EQ(det.dupSlot, LineAddr{ 1 }) << addr;
+        EXPECT_EQ(det.confirmReads, 2u) << addr;
+    }
+    EXPECT_EQ(pe.engine().confirmReads(), 7u);
+    EXPECT_EQ(pe.engine().collisionMismatches(), 4u);
+    EXPECT_EQ(pe.engine().confirmReadsAvoided(), 0u);
+    EXPECT_EQ(pe.engine().strongFpComputes(), 0u);
+    EXPECT_EQ(pe.engine().strongFpHits(), 0u);
+    EXPECT_EQ(pe.engine().strongFpCaches(), 0u);
+    EXPECT_EQ(pe.engine().hashStore().strongFpOf(1), nullptr);
+    EXPECT_EQ(pe.engine().hashStore().strongFpOf(2), nullptr);
+    EXPECT_EQ(pe.read(2), forged);
+    EXPECT_EQ(pe.read(5), base);
+    EXPECT_EQ(pe.engine().unsafeCorruptions(), 0u);
+}
+
+TEST(WeakOnlyTest, ForgedCollisionIsMergedAndCounted)
+{
+    // The unsafe ablation trusts the CRC: a forged collision is merged
+    // into the victim's slot without a read, and the functional
+    // compare counts the corruption it causes.
+    PolicyEngine pe(DetectPolicy::WeakOnly);
+    Rng rng(510);
+    const Line base = Line::random(rng);
+    const Line forged = forgeCrc32Collision(base, rng);
+
+    pe.write(1, base);
+    const DetectOutcome det = pe.write(2, forged);
+    EXPECT_TRUE(det.duplicate);
+    EXPECT_EQ(det.dupSlot, LineAddr{ 1 });
+    EXPECT_EQ(det.confirmReads, 0u);
+    EXPECT_EQ(pe.engine().unsafeCorruptions(), 1u);
+    EXPECT_EQ(pe.engine().collisionMismatches(), 0u);
+    EXPECT_EQ(pe.engine().confirmReads(), 0u);
+    EXPECT_EQ(pe.engine().strongFpComputes(), 0u);
+
+    // The corruption is real: line 2 now reads the victim's content.
+    EXPECT_EQ(pe.read(2), base);
+    EXPECT_EQ(pe.read(1), base);
 }
 
 TEST(WeakStrongTest, FirstConfirmationCachesTheFingerprint)
@@ -212,72 +267,6 @@ TEST(WeakStrongTest, DecisionsMatchConfirmReadOnMixedStream)
     EXPECT_LT(strong.engine().confirmReads(),
               confirm.engine().confirmReads());
     EXPECT_GT(strong.engine().confirmReadsAvoided(), 0u);
-}
-
-TEST(AdaptiveTest, DuplicateHeavyEpochsEnterStrongMode)
-{
-    PolicyEngine pe(DedupEngine::Options{ DetectPolicy::Adaptive, nullptr,
-                                          4, HashFunction::Crc32,
-                                          /*counterBits=*/28,
-                                          /*detectEpochWrites=*/64 });
-    EXPECT_EQ(pe.engine().operationalDetectMode(),
-              DetectPolicy::ConfirmRead);
-
-    Rng rng(505);
-    const Line popular = Line::random(rng);
-    pe.write(0, popular);
-    for (LineAddr addr = 1; addr < 130; ++addr)
-        pe.write(addr, popular);
-
-    // Nearly every commit was a duplicate, so the first epoch roll
-    // switches the operational mode to the strong tier...
-    EXPECT_EQ(pe.engine().operationalDetectMode(),
-              DetectPolicy::WeakStrong);
-    EXPECT_GE(pe.engine().detectModeSwitches(), 1u);
-    EXPECT_GT(pe.engine().confirmReadsAvoided(), 0u);
-
-    // ...and a duplicate-free phase drops it back (hysteresis: the
-    // ratio fell below the exit threshold).
-    for (LineAddr addr = 200; addr < 330; ++addr)
-        pe.write(addr, Line::random(rng));
-    EXPECT_EQ(pe.engine().operationalDetectMode(),
-              DetectPolicy::ConfirmRead);
-    EXPECT_GE(pe.engine().detectModeSwitches(), 2u);
-
-    // Adaptive only ever alternates between the two safe modes, so
-    // nothing can have been silently merged.
-    EXPECT_EQ(pe.engine().unsafeCorruptions(), 0u);
-}
-
-TEST(AdaptiveTest, ModeStaysPutInsideTheHysteresisBand)
-{
-    PolicyEngine pe(DedupEngine::Options{ DetectPolicy::Adaptive, nullptr,
-                                          4, HashFunction::Crc32,
-                                          /*counterBits=*/28,
-                                          /*detectEpochWrites=*/64 });
-    Rng rng(506);
-    const Line popular = Line::random(rng);
-    pe.write(0, popular);
-    for (LineAddr addr = 1; addr < 130; ++addr)
-        pe.write(addr, popular);
-    ASSERT_EQ(pe.engine().operationalDetectMode(),
-              DetectPolicy::WeakStrong);
-    const std::uint64_t switches = pe.engine().detectModeSwitches();
-
-    // A ~25% duplicate ratio sits between exit (20%) and entry (30%):
-    // the mode must not thrash.
-    LineAddr next = 1000;
-    for (int epoch = 0; epoch < 4; ++epoch) {
-        for (int i = 0; i < 64; ++i) {
-            if (i % 4 == 0)
-                pe.write(next++, popular);
-            else
-                pe.write(next++, Line::random(rng));
-        }
-        ASSERT_EQ(pe.engine().operationalDetectMode(),
-                  DetectPolicy::WeakStrong);
-    }
-    EXPECT_EQ(pe.engine().detectModeSwitches(), switches);
 }
 
 TEST(WeakStrongTest, RecoveryRewarmsTheFingerprintCaches)

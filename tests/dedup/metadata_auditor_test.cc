@@ -20,6 +20,8 @@
 #include "nvm/nvm_device.hh"
 #include "sim/system.hh"
 
+#include "scoped_env.hh"
+
 namespace dewrite {
 
 /**
@@ -47,20 +49,6 @@ class MetadataAuditorTestPeer
 };
 
 namespace {
-
-/** Scoped environment override (unset restores at destruction). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv() { ::unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 class MetadataAuditorTest : public ::testing::Test
 {

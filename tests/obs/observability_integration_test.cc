@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "obs/trace_export.hh"
 #include "sim/experiment.hh"
@@ -76,6 +79,54 @@ TEST(SystemRegistryTest, LegacyViewMatchesFillStats)
     EXPECT_TRUE(via_controller.has("writes_eliminated"));
 }
 
+TEST(SystemRegistryTest, DetectScopeMirrorsTheEngine)
+{
+    const SystemConfig config = smallConfig();
+    SchemeOptions scheme = dewriteScheme(DedupMode::Predicted);
+    scheme.dewrite.detect = DetectPolicy::WeakStrong;
+    System system(config, scheme);
+
+    // The detection scope holds the policy's counters and the latency
+    // sum; the policy is fixed for a run, so nothing reports a mode.
+    const std::string prefix = "controller.dedup.detect.";
+    std::set<std::string> names;
+    for (const obs::MetricRegistry::Entry &entry :
+         system.registry().entries()) {
+        if (entry.path.starts_with(prefix))
+            names.insert(entry.path.substr(prefix.size()));
+    }
+    ASSERT_EQ(names, (std::set<std::string>{
+                         "confirm_reads", "confirm_reads_avoided",
+                         "detects", "latency_ps_total", "strong_fp_caches",
+                         "strong_fp_computes", "strong_fp_hits" }));
+
+    // Weak-strong: the second write confirms by read and caches the
+    // fingerprint, the later ones resolve by fingerprint.
+    const Line data = Line::filled(0x55);
+    for (LineAddr addr = 1; addr <= 4; ++addr)
+        system.write(addr, data);
+    const DedupEngine &engine =
+        dynamic_cast<const DeWriteController &>(system.controller())
+            .engine();
+    const std::pair<const char *, std::uint64_t> expected[] = {
+        { "detects", 4 },
+        { "confirm_reads", engine.confirmReads() },
+        { "confirm_reads_avoided", engine.confirmReadsAvoided() },
+        { "strong_fp_computes", engine.strongFpComputes() },
+        { "strong_fp_hits", engine.strongFpHits() },
+        { "strong_fp_caches", engine.strongFpCaches() },
+    };
+    for (const auto &[name, count] : expected) {
+        EXPECT_EQ(system.registry().find(prefix + name)->read(),
+                  static_cast<double>(count))
+            << name;
+    }
+    EXPECT_EQ(engine.confirmReads(), 1u);
+    EXPECT_EQ(engine.confirmReadsAvoided(), 2u);
+    EXPECT_GT(system.registry().find(prefix + "latency_ps_total")->read(),
+              0.0);
+}
+
 TEST(SystemTracerTest, DisabledByDefaultEnabledOnRequest)
 {
     const SystemConfig config = smallConfig();
@@ -90,12 +141,8 @@ TEST(SystemTracerTest, DisabledByDefaultEnabledOnRequest)
     const Line data = Line::filled(0x33);
     system.write(1, data);
     system.write(2, data);
-    if (obs::WriteTracer::compiledIn()) {
-        EXPECT_EQ(tracer.recorded(), 2u);
-        EXPECT_TRUE(tracer.event(1).duplicate);
-    } else {
-        EXPECT_EQ(tracer.recorded(), 0u);
-    }
+    EXPECT_EQ(tracer.recorded(), 2u);
+    EXPECT_TRUE(tracer.event(1).duplicate);
 }
 
 TEST(SystemTracerTest, BaselineSchemeTracesToo)
@@ -105,10 +152,8 @@ TEST(SystemTracerTest, BaselineSchemeTracesToo)
     obs::WriteTracer &tracer = system.enableTracing();
     const Line data = Line::filled(0x44);
     system.write(1, data);
-    if (obs::WriteTracer::compiledIn()) {
-        EXPECT_EQ(tracer.recorded(), 1u);
-        EXPECT_TRUE(tracer.event(0).wroteLine);
-    }
+    EXPECT_EQ(tracer.recorded(), 1u);
+    EXPECT_TRUE(tracer.event(0).wroteLine);
 }
 
 TEST(RunAppTracedTest, TracerAgreesWithRunResult)
@@ -124,8 +169,6 @@ TEST(RunAppTracedTest, TracerAgreesWithRunResult)
 
     const obs::WriteTracer *tracer = cell.system->tracer();
     ASSERT_NE(tracer, nullptr);
-    if (!obs::WriteTracer::compiledIn())
-        GTEST_SKIP() << "tracer compiled out";
 
     EXPECT_EQ(tracer->recorded(), cell.result.run.writes);
     std::uint64_t duplicates = tracer->currentEpoch().duplicates;

@@ -1,10 +1,7 @@
 /**
  * @file
  * WriteTracer tests: ring wraparound, epoch aggregation, degenerate
- * capacities, and the exporters. The suite is built both with the
- * tracer compiled in (default) and compiled out (DEWRITE_TRACE=0);
- * assertions on recorded state apply only to the former, and the
- * compiled-out build asserts the mechanism truly vanishes.
+ * capacities, and the exporters.
  */
 
 #include <gtest/gtest.h>
@@ -30,23 +27,8 @@ makeEvent(LineAddr addr, bool duplicate, std::int8_t predicted = -1)
     return ev;
 }
 
-TEST(WriteTracerTest, CompiledOutBuildRecordsNothing)
-{
-    if (WriteTracer::compiledIn())
-        GTEST_SKIP() << "tracer compiled in";
-    TraceConfig config;
-    config.capacity = 16;
-    WriteTracer tracer(config);
-    tracer.record(makeEvent(1, true));
-    EXPECT_EQ(tracer.recorded(), 0u);
-    EXPECT_EQ(tracer.size(), 0u);
-    EXPECT_EQ(tracer.capacity(), 0u); // Ring never allocated.
-}
-
 TEST(WriteTracerTest, RetainsEventsOldestFirst)
 {
-    if (!WriteTracer::compiledIn())
-        GTEST_SKIP() << "tracer compiled out";
     TraceConfig config;
     config.capacity = 8;
     WriteTracer tracer(config);
@@ -64,8 +46,6 @@ TEST(WriteTracerTest, RetainsEventsOldestFirst)
 
 TEST(WriteTracerTest, RingWrapsKeepingNewestEvents)
 {
-    if (!WriteTracer::compiledIn())
-        GTEST_SKIP() << "tracer compiled out";
     TraceConfig config;
     config.capacity = 4;
     WriteTracer tracer(config);
@@ -82,8 +62,6 @@ TEST(WriteTracerTest, RingWrapsKeepingNewestEvents)
 
 TEST(WriteTracerTest, CapacityZeroCountsButRetainsNothing)
 {
-    if (!WriteTracer::compiledIn())
-        GTEST_SKIP() << "tracer compiled out";
     TraceConfig config;
     config.capacity = 0;
     config.epochEvents = 2;
@@ -101,8 +79,6 @@ TEST(WriteTracerTest, CapacityZeroCountsButRetainsNothing)
 
 TEST(WriteTracerTest, EpochsAggregateAndRoll)
 {
-    if (!WriteTracer::compiledIn())
-        GTEST_SKIP() << "tracer compiled out";
     TraceConfig config;
     config.capacity = 64;
     config.epochEvents = 4;
@@ -163,10 +139,8 @@ TEST(TraceExportTest, ChromeTraceHasRequiredShape)
     EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(out.find("\"displayTimeUnit\""), std::string::npos);
     EXPECT_NE(out.find("app/scheme"), std::string::npos);
-    if (WriteTracer::compiledIn()) {
-        EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
-        EXPECT_NE(out.find("\"duplicate\":true"), std::string::npos);
-    }
+    EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(out.find("\"duplicate\":true"), std::string::npos);
 }
 
 TEST(TraceExportTest, EpochSeriesListsCompletedAndTailEpochs)
@@ -185,13 +159,10 @@ TEST(TraceExportTest, EpochSeriesListsCompletedAndTailEpochs)
     EXPECT_TRUE(w.ok());
     EXPECT_EQ(w.depth(), 0u);
     EXPECT_EQ(out.front(), '[');
-    if (WriteTracer::compiledIn()) {
-        EXPECT_NE(out.find("\"write_reduction\":0.5"),
-                  std::string::npos);
-        // Both the completed epoch and the tail appear.
-        EXPECT_NE(out.find("\"epoch\":0"), std::string::npos);
-        EXPECT_NE(out.find("\"epoch\":1"), std::string::npos);
-    }
+    EXPECT_NE(out.find("\"write_reduction\":0.5"), std::string::npos);
+    // Both the completed epoch and the tail appear.
+    EXPECT_NE(out.find("\"epoch\":0"), std::string::npos);
+    EXPECT_NE(out.find("\"epoch\":1"), std::string::npos);
 }
 
 } // namespace

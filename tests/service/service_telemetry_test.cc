@@ -22,22 +22,10 @@
 #include "obs/telemetry.hh"
 #include "service/dedup_service.hh"
 
+#include "scoped_env.hh"
+
 namespace dewrite {
 namespace {
-
-/** Scoped environment override (unset restores at destruction). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv() { ::unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 /**
  * Minimal recursive-descent JSON reader — just enough to round-trip

@@ -12,19 +12,10 @@
 
 #include "service/shard_router.hh"
 
+#include "scoped_env.hh"
+
 namespace dewrite {
 namespace {
-
-/** Scoped DEWRITE_SHARDS override (unset restores at destruction). */
-class ScopedShards
-{
-  public:
-    explicit ScopedShards(const char *value)
-    {
-        ::setenv("DEWRITE_SHARDS", value, 1);
-    }
-    ~ScopedShards() { ::unsetenv("DEWRITE_SHARDS"); }
-};
 
 TEST(ShardRouter, FoldsTenantsIntoDisjointKeyRanges)
 {
@@ -94,40 +85,40 @@ TEST(ShardsKnob, DefaultsToOne)
 
 TEST(ShardsKnob, HonorsValidOverride)
 {
-    ScopedShards shards("8");
+    ScopedEnv shards("DEWRITE_SHARDS", "8");
     EXPECT_EQ(serviceShards(), 8u);
 }
 
 TEST(ShardsKnob, HonorsTheCap)
 {
-    ScopedShards shards("64");
+    ScopedEnv shards("DEWRITE_SHARDS", "64");
     EXPECT_EQ(serviceShards(), 64u);
 }
 
 TEST(ShardsKnob, RejectsMalformed)
 {
-    ScopedShards shards("many");
+    ScopedEnv shards("DEWRITE_SHARDS", "many");
     EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
                 "DEWRITE_SHARDS");
 }
 
 TEST(ShardsKnob, RejectsZero)
 {
-    ScopedShards shards("0");
+    ScopedEnv shards("DEWRITE_SHARDS", "0");
     EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
                 "DEWRITE_SHARDS");
 }
 
 TEST(ShardsKnob, RejectsAboveCap)
 {
-    ScopedShards shards("65");
+    ScopedEnv shards("DEWRITE_SHARDS", "65");
     EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
                 "DEWRITE_SHARDS");
 }
 
 TEST(ShardsKnob, RejectsTrailingGarbage)
 {
-    ScopedShards shards("8x");
+    ScopedEnv shards("DEWRITE_SHARDS", "8x");
     EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
                 "DEWRITE_SHARDS");
 }

@@ -56,8 +56,9 @@ TEST_P(BatchParity, MatrixEightThreads)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BatchParity,
                          testing::Values("1", "7", "8", "16", "64"),
-                         [](const auto &info) {
-                             return std::string("batch") + info.param;
+                         [](const auto &param_info) {
+                             return std::string("batch") +
+                                    param_info.param;
                          });
 
 TEST(BatchKnob, DefaultsTo16)

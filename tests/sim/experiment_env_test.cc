@@ -10,25 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "sim/experiment.hh"
 
+#include "scoped_env.hh"
+
 namespace dewrite {
 namespace {
-
-/** Scoped environment override (unset restores at destruction). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv() { ::unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 TEST(ExperimentEventsTest, DefaultsWhenUnset)
 {
@@ -109,6 +98,19 @@ TEST(ExperimentEventsDeathTest, RejectsMalformedAuditEpochEagerly)
     ScopedEnv env("DEWRITE_AUDIT_EPOCH", "junk");
     EXPECT_EXIT(experimentEvents(), ::testing::ExitedWithCode(1),
                 "DEWRITE_AUDIT_EPOCH");
+}
+
+TEST(ExperimentEventsDeathTest, RejectsUnknownKnobEagerly)
+{
+    // A retired knob or a typo'd name is never parsed, so without the
+    // scan it would be ignored silently; it dies naming the variable.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *name : { "DEWRITE_DETECT", "DEWRITE_EVENT" }) {
+        ScopedEnv env(name, "1");
+        EXPECT_EXIT(experimentEvents(), ::testing::ExitedWithCode(1),
+                    std::string(name) + " is not a known")
+            << name;
+    }
 }
 
 TEST(ExperimentEventsDeathTest, RejectsAboveTheMaximum)

@@ -20,6 +20,8 @@
 #include "sim/thread_pool.hh"
 #include "trace/app_catalog.hh"
 
+#include "scoped_env.hh"
+
 namespace dewrite {
 namespace {
 
@@ -269,20 +271,6 @@ TEST(RunMatrixProfiledTest, ResultsMatchUnprofiledRun)
 }
 
 // --- DEWRITE_THREADS parsing -----------------------------------------
-
-/** Scoped environment override (unset restores at destruction). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv() { ::unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 TEST(RunnerThreadsTest, DefaultsToAtLeastOne)
 {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 
 #include "common/rng.hh"
@@ -109,8 +110,33 @@ roundTripCases()
     return cases;
 }
 
+/**
+ * Prints a case as its kind, mode, technique and seed, e.g.
+ * "DeWrite_predicted_DEUCE_seed2", which also names the test. gtest's
+ * default printer would dump the struct's bytes, uninitialized padding
+ * included.
+ */
+void
+PrintTo(const PropertyCase &c, std::ostream *os)
+{
+    switch (c.kind) {
+      case SchemeKind::Plain:
+        *os << "Plain";
+        break;
+      case SchemeKind::SecureBaseline:
+        *os << "SecureBaseline";
+        break;
+      case SchemeKind::DeWrite:
+        *os << "DeWrite";
+        break;
+    }
+    *os << '_' << dedupModeName(c.mode) << '_'
+        << bitTechniqueName(c.technique) << "_seed" << c.seed;
+}
+
 INSTANTIATE_TEST_SUITE_P(Schemes, RoundTripProperty,
-                         ::testing::ValuesIn(roundTripCases()));
+                         ::testing::ValuesIn(roundTripCases()),
+                         ::testing::PrintToStringParamName());
 
 class EngineInvariants : public ::testing::TestWithParam<std::uint64_t>
 {

@@ -1,34 +1,33 @@
 #!/usr/bin/env python3
-"""Tracks BENCH_*.json runs over time and gates perf regressions.
+"""Tracks BENCH_*.json runs over time and gates fingerprint drift.
 
 Every invocation appends one JSONL record per report to the history
 file (default BENCH_history.jsonl): the report's provenance block
-(git sha, dirty flag, host_cpus, DEWRITE_* knobs), its events/sec
-figures, and its parity fingerprints — the cross-commit perf
-trajectory that BENCH_*.json files alone never provided.
+(git sha, dirty flag, host_cpus, DEWRITE_* knobs) and its parity
+fingerprints — the cross-commit trajectory that BENCH_*.json files
+alone never provided.
 
 With --check, the newest reports are compared against the committed
 baseline (default tools/bench_baseline.json):
 
-  * any parity-fingerprint change fails, unconditionally — the
-    simulation is deterministic, so fingerprints are host-portable
-    and a drift is a correctness change, not noise;
-  * an events/sec drop beyond --tolerance (default 15%) fails, but
-    only when the baseline was recorded on a host with the same CPU
-    count — raw throughput is not comparable across host shapes, and
-    a cross-host gate would flap;
+  * any parity-fingerprint change fails — the simulation is
+    deterministic, so fingerprints are host-portable and a drift is a
+    correctness change, not noise;
   * an events_per_cell mismatch fails — different workloads are not
     comparable at all.
 
+Host throughput is not gated here; dwbench (dwbench/run.py) measures
+it with repeated steady-state runs.
+
 --update-baseline rewrites the baseline from the given reports (run
-it on the reference CI host after an intentional perf change).
+it after an intentional change to the simulated results).
 
 --validate-telemetry FILE parses a DEWRITE_TELEMETRY JSONL stream and
 verifies every snapshot line parses, the stream ends with a final
 frame, and (with --tenants N) the final frame carries a per-tenant
 write-latency p99 for every tenant.
 
-Exit codes: 0 ok, 1 regression/parity/validation failure, 2 usage.
+Exit codes: 0 ok, 1 parity/validation failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -66,41 +65,29 @@ def extract_metrics(path: str, report: object) -> dict:
             fail(f"{path}: missing {key!r} (schema v2 required; "
                  "re-run the bench)")
     provenance = report["provenance"]
-    if not isinstance(provenance, dict) \
-            or "host_cpus" not in provenance:
-        fail(f"{path}: provenance block missing 'host_cpus'")
+    if not isinstance(provenance, dict):
+        fail(f"{path}: 'provenance' must be an object")
 
-    throughputs: dict[str, float] = {}
     fingerprints: dict[str, int] = {}
     bench = report["bench"]
     if bench == "throughput":
         for entry in report.get("schemes", []):
-            scheme = entry["scheme"]
-            throughputs[scheme] = float(entry["events_per_sec"])
-            fingerprints[scheme] = int(entry["result_fingerprint"])
-        if "events_per_sec" in report:
-            throughputs["overall"] = float(report["events_per_sec"])
+            fingerprints[entry["scheme"]] = int(entry["result_fingerprint"])
     elif bench == "service":
         for entry in report.get("configs", []):
             key = f"shards{entry['shards']}"
-            throughputs[key] = float(entry["events_per_sec"])
             for shard in entry.get("shards_detail", []):
                 fingerprints[f"{key}/shard{shard['shard']}"] = \
                     int(shard["service_fingerprint"])
     elif bench == "detection":
         for entry in report.get("policies", []):
-            policy = entry["policy"]
-            throughputs[policy] = float(entry["events_per_sec"])
-            fingerprints[policy] = int(entry["detection_fingerprint"])
-    elif "events_per_sec" in report:
-        throughputs["overall"] = float(report["events_per_sec"])
+            fingerprints[entry["policy"]] = \
+                int(entry["detection_fingerprint"])
 
     return {
         "bench": bench,
         "events_per_cell": report["events_per_cell"],
-        "host_cpus": provenance["host_cpus"],
         "provenance": provenance,
-        "throughputs": throughputs,
         "fingerprints": fingerprints,
     }
 
@@ -112,9 +99,9 @@ def append_history(history_path: str, metrics: dict) -> None:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def check_against_baseline(path: str, metrics: dict, baseline: dict,
-                           tolerance: float) -> list[str]:
-    """-> human-readable notes; raises TrendError on a gate failure."""
+def check_against_baseline(path: str, metrics: dict,
+                           baseline: dict) -> None:
+    """Raises TrendError on a gate failure."""
     benches = baseline.get("benches")
     if not isinstance(benches, dict):
         fail(f"baseline has no 'benches' object")
@@ -142,38 +129,13 @@ def check_against_baseline(path: str, metrics: dict, baseline: dict,
                  f"baseline {fingerprint} vs current {current} — "
                  "simulated results drifted")
 
-    # Throughput: gated only on a like-for-like host shape.
-    notes = []
-    if base["host_cpus"] != metrics["host_cpus"]:
-        notes.append(
-            f"{path}: baseline host_cpus={base['host_cpus']} vs "
-            f"current {metrics['host_cpus']}; events/sec gate skipped "
-            "(raw throughput is not host-portable)")
-        return notes
-    for key, base_eps in sorted(base.get("throughputs", {}).items()):
-        current = metrics["throughputs"].get(key)
-        if current is None:
-            fail(f"{path}: throughput series {key!r} present in "
-                 "baseline but missing from this run")
-        floor = float(base_eps) * (1.0 - tolerance)
-        if float(current) < floor:
-            fail(f"{path}: events/sec regression in {key!r}: "
-                 f"{current:.0f} < {floor:.0f} "
-                 f"(baseline {float(base_eps):.0f}, tolerance "
-                 f"{tolerance:.0%})")
-        notes.append(f"{path}: {key} {float(current):.0f} ev/s vs "
-                     f"baseline {float(base_eps):.0f} (ok)")
-    return notes
-
 
 def build_baseline(all_metrics: list[dict]) -> dict:
     benches = {}
     for metrics in all_metrics:
         benches[metrics["bench"]] = {
             "events_per_cell": metrics["events_per_cell"],
-            "host_cpus": metrics["host_cpus"],
             "git_sha": metrics["provenance"].get("git_sha", "unknown"),
-            "throughputs": metrics["throughputs"],
             "fingerprints": metrics["fingerprints"],
         }
     return {"benches": benches}
@@ -222,78 +184,49 @@ def validate_telemetry(path: str, tenants: int | None) -> None:
 
 
 def self_test() -> int:
-    """Seeded checks: the gate must pass a faithful re-run, fail a 20%
-    regression and any fingerprint drift, and skip the throughput gate
-    across host shapes."""
+    """Seeded checks: the gate must pass a faithful re-run and fail any
+    fingerprint drift or workload-shape change."""
     import tempfile
 
-    def throughput_report(eps: float = 10000.0, fingerprint: int = 7,
-                          host_cpus: int = 4) -> dict:
+    def throughput_report(fingerprint: int = 7) -> dict:
         return {"bench": "throughput", "schema_version": 2,
                 "events_per_cell": 6000, "threads": 1,
                 "provenance": {"git_sha": "abc", "git_dirty": False,
-                               "host_cpus": host_cpus,
+                               "host_cpus": 4,
                                "knobs": {"DEWRITE_EVENTS": None}},
                 "schemes": [{"scheme": "secure-baseline",
-                             "events_per_sec": eps,
+                             "events_per_sec": 10000.0,
                              "result_fingerprint": fingerprint}],
-                "events_per_sec": eps}
+                "events_per_sec": 10000.0}
 
     good = extract_metrics("a.json", throughput_report())
     baseline = build_baseline([good])
 
-    # A faithful re-run and a small (in-tolerance) dip both pass.
-    check_against_baseline("a.json", good, baseline, 0.15)
-    check_against_baseline(
-        "a.json", extract_metrics("a.json",
-                                  throughput_report(eps=9000.0)),
-        baseline, 0.15)
+    # A faithful re-run passes.
+    check_against_baseline("a.json", good, baseline)
 
-    # A 20% regression fails the gate.
-    try:
-        check_against_baseline(
-            "a.json", extract_metrics("a.json",
-                                      throughput_report(eps=8000.0)),
-            baseline, 0.15)
-    except TrendError as error:
-        assert "events/sec regression" in str(error), str(error)
-    else:
-        raise AssertionError("accepted a 20% events/sec regression")
-
-    # A fingerprint drift fails even when the host shape differs.
+    # A fingerprint drift fails.
     try:
         check_against_baseline(
             "a.json",
-            extract_metrics("a.json",
-                            throughput_report(fingerprint=8,
-                                              host_cpus=64)),
-            baseline, 0.15)
+            extract_metrics("a.json", throughput_report(fingerprint=8)),
+            baseline)
     except TrendError as error:
         assert "parity fingerprint changed" in str(error), str(error)
     else:
         raise AssertionError("accepted a fingerprint drift")
 
-    # A different host shape skips the throughput gate (same 20%
-    # regression passes with a note).
-    notes = check_against_baseline(
-        "a.json",
-        extract_metrics("a.json", throughput_report(eps=8000.0,
-                                                    host_cpus=64)),
-        baseline, 0.15)
-    assert any("gate skipped" in note for note in notes), notes
-
     # A different workload shape is not comparable.
     wrong_shape = extract_metrics("a.json", throughput_report())
     wrong_shape["events_per_cell"] = 120000
     try:
-        check_against_baseline("a.json", wrong_shape, baseline, 0.15)
+        check_against_baseline("a.json", wrong_shape, baseline)
     except TrendError as error:
         assert "events_per_cell" in str(error), str(error)
     else:
         raise AssertionError("compared incomparable workload shapes")
 
-    # Service reports gate per-config throughput and per-shard
-    # fingerprints.
+    # Service reports gate per-shard fingerprints.
     service = {"bench": "service", "schema_version": 2,
                "events_per_cell": 6000, "threads": 1,
                "provenance": {"git_sha": "abc", "git_dirty": False,
@@ -305,15 +238,12 @@ def self_test() -> int:
                                 {"shard": 1,
                                  "service_fingerprint": 2}]}]}
     service_metrics = extract_metrics("s.json", service)
-    assert service_metrics["throughputs"] == {"shards2": 20000.0}
     assert service_metrics["fingerprints"] == {"shards2/shard0": 1,
                                                "shards2/shard1": 2}
-    service_baseline = build_baseline([service_metrics])
     check_against_baseline("s.json", service_metrics,
-                           service_baseline, 0.15)
+                           build_baseline([service_metrics]))
 
-    # Detection reports gate per-policy throughput and the decision
-    # parity fingerprints.
+    # Detection reports gate the decision parity fingerprints.
     detection = {"bench": "detection", "schema_version": 2,
                  "events_per_cell": 6000, "threads": 1,
                  "provenance": {"git_sha": "abc", "git_dirty": False,
@@ -325,12 +255,10 @@ def self_test() -> int:
                                "events_per_sec": 40000.0,
                                "detection_fingerprint": 7}]}
     detection_metrics = extract_metrics("d.json", detection)
-    assert detection_metrics["throughputs"] == {"confirm-read": 30000.0,
-                                                "weak-strong": 40000.0}
     assert detection_metrics["fingerprints"] == {"confirm-read": 7,
                                                  "weak-strong": 7}
     check_against_baseline("d.json", detection_metrics,
-                           build_baseline([detection_metrics]), 0.15)
+                           build_baseline([detection_metrics]))
 
     # History append-and-parse round trip.
     with tempfile.TemporaryDirectory() as tmp:
@@ -379,10 +307,8 @@ def self_test() -> int:
             raise AssertionError("accepted a stream with no final "
                                  "frame")
 
-    # End-to-end through main(): a host-shape mismatch must skip the
-    # events/sec gate (exit 0, skip note printed) yet still hard-fail
-    # a fingerprint drift (exit 1) — the CI contract for runs recorded
-    # on a differently-sized host than the baseline machine.
+    # End-to-end through main(): a faithful re-run exits 0 and a
+    # fingerprint drift exits 1 — the CI contract.
     import contextlib
     import io
 
@@ -403,20 +329,10 @@ def self_test() -> int:
                              "--history", history, report_path])
             return code, out.getvalue()
 
-        # A 20% regression on a different host shape passes, with the
-        # skip note on stdout; the identical regression on the
-        # baseline's own shape fails.
-        code, output = run_check(throughput_report(eps=8000.0,
-                                                   host_cpus=64))
-        assert code == 0 and "gate skipped" in output, (code, output)
-        code, output = run_check(throughput_report(eps=8000.0))
-        assert code == 1 and "events/sec regression" in output, \
+        code, output = run_check(throughput_report())
+        assert code == 0 and "match the baseline" in output, \
             (code, output)
-
-        # A fingerprint drift is host-portable: it fails even when the
-        # host shape differs and the throughput gate is skipped.
-        code, output = run_check(throughput_report(fingerprint=9,
-                                                   host_cpus=64))
+        code, output = run_check(throughput_report(fingerprint=9))
         assert code == 1 and "parity fingerprint changed" in output, \
             (code, output)
 
@@ -444,9 +360,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate the reports against the baseline")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline from the reports")
-    parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed events/sec drop before --check "
-                             "fails (default: %(default)s)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the seeded-regression self-test")
     parser.add_argument("--validate-telemetry", metavar="FILE",
@@ -486,10 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.check:
             baseline = load_json(args.baseline)
             for path, metrics in zip(args.files, all_metrics):
-                for note in check_against_baseline(
-                        path, metrics, baseline, args.tolerance):
-                    print(note)
-            print("bench trend: within baseline tolerances")
+                check_against_baseline(path, metrics, baseline)
+            print("bench trend: fingerprints match the baseline")
     except TrendError as error:
         print(error, file=sys.stderr)
         return 1

@@ -129,11 +129,7 @@ def check_throughput_payload(path: str, report: dict) -> None:
 
 def check_detection_payload(path: str, report: dict) -> None:
     """BENCH_detection carries the per-policy sweep plus the decision
-    parity block pinning the confirming policies to confirm-read."""
-    if not _is_uint(report.get("adaptive_epoch_writes")) \
-            or report.get("adaptive_epoch_writes") < 1:
-        fail(path, "'adaptive_epoch_writes' must be a positive integer")
-
+    parity block pinning weak-strong to confirm-read."""
     policies = report.get("policies")
     if not isinstance(policies, list) or not policies:
         fail(path, "'policies' must be a non-empty array")
@@ -154,8 +150,7 @@ def check_detection_payload(path: str, report: dict) -> None:
             if not _is_number(entry.get(key)) or entry.get(key) < 0:
                 fail(path, f"policy {name!r}: {key!r} must be a "
                            "non-negative number")
-    for required in ("confirm-read", "weak-only", "weak-strong",
-                     "adaptive"):
+    for required in ("confirm-read", "weak-only", "weak-strong"):
         if required not in names:
             fail(path, f"'policies' is missing the {required!r} sweep")
 
@@ -164,16 +159,14 @@ def check_detection_payload(path: str, report: dict) -> None:
         fail(path, "'parity' must be an object")
     if parity.get("reference") != "confirm-read":
         fail(path, "parity 'reference' must be 'confirm-read'")
-    for key in ("weak_strong_matches", "adaptive_matches"):
-        if not isinstance(parity.get(key), bool):
-            fail(path, f"parity {key!r} must be a boolean")
+    if not isinstance(parity.get("weak_strong_matches"), bool):
+        fail(path, "parity 'weak_strong_matches' must be a boolean")
 
 
 def check_detection_parity(path: str) -> None:
-    """One detection report: the weak+strong and adaptive policies must
-    have recorded the same decision fingerprint as confirm-read — the
-    two-tier scheme changes timing, never verdicts, on collision-free
-    traces."""
+    """One detection report: the weak+strong policy must have recorded
+    the same decision fingerprint as confirm-read — the two-tier scheme
+    changes timing, never verdicts, on collision-free traces."""
     report = load_file(path)
     check_report(path, report, check_name=False)
     if report["bench"] != "detection":
@@ -181,15 +174,12 @@ def check_detection_parity(path: str) -> None:
                    "detection report")
     prints = {e["policy"]: e["detection_fingerprint"]
               for e in report["policies"]}
-    for policy in ("weak-strong", "adaptive"):
-        if prints[policy] != prints["confirm-read"]:
-            fail(path, f"parity mismatch for {policy!r}: "
-                       f"{prints[policy]} vs confirm-read "
-                       f"{prints['confirm-read']}")
-    parity = report["parity"]
-    for key in ("weak_strong_matches", "adaptive_matches"):
-        if not parity[key]:
-            fail(path, f"report flags {key}=false")
+    if prints["weak-strong"] != prints["confirm-read"]:
+        fail(path, f"parity mismatch for 'weak-strong': "
+                   f"{prints['weak-strong']} vs confirm-read "
+                   f"{prints['confirm-read']}")
+    if not report["parity"]["weak_strong_matches"]:
+        fail(path, "report flags weak_strong_matches=false")
 
 
 def check_service_payload(path: str, report: dict) -> None:
@@ -483,8 +473,7 @@ def self_test() -> int:
         else:
             raise AssertionError(f"accepted broken report: {expect}")
 
-    def detection(strong: int = 7, adaptive: int = 7,
-                  strong_flag: bool = True) -> dict:
+    def detection(strong: int = 7, strong_flag: bool = True) -> dict:
         def policy(name: str, fingerprint: int) -> dict:
             return {"policy": name, "cells": 20, "events": 120000,
                     "wall_seconds": 0.5, "events_per_sec": 240000.0,
@@ -496,21 +485,16 @@ def self_test() -> int:
         return {"bench": "detection", "schema_version": SCHEMA_VERSION,
                 "events_per_cell": 6000, "threads": 1,
                 "provenance": _provenance(),
-                "adaptive_epoch_writes": 512,
                 "policies": [policy("confirm-read", 7),
                              policy("weak-only", 9),
-                             policy("weak-strong", strong),
-                             policy("adaptive", adaptive)],
+                             policy("weak-strong", strong)],
                 "parity": {"reference": "confirm-read",
                            "weak_strong_matches": strong_flag,
-                           "adaptive_matches": True,
                            "weak_only_fingerprint": 9}}
 
     check_report("BENCH_detection.json", detection())
 
     broken_detection = [
-        ("'adaptive_epoch_writes' must be a positive integer",
-         {**detection(), "adaptive_epoch_writes": 0}),
         ("'policies' must be a non-empty array",
          {**detection(), "policies": []}),
         ("missing 'policy' name",
@@ -524,19 +508,19 @@ def self_test() -> int:
          {**detection(),
           "policies": [{**p, "confirm_reads": -1.0}
                        for p in detection()["policies"]]}),
-        ("missing the 'adaptive' sweep",
+        ("missing the 'weak-strong' sweep",
          {**detection(),
-          "policies": detection()["policies"][:3]}),
+          "policies": detection()["policies"][:2]}),
         ("'parity' must be an object",
          {**detection(), "parity": None}),
         ("parity 'reference' must be 'confirm-read'",
          {**detection(),
           "parity": {**detection()["parity"],
                      "reference": "weak-only"}}),
-        ("parity 'adaptive_matches' must be a boolean",
+        ("parity 'weak_strong_matches' must be a boolean",
          {**detection(),
           "parity": {**detection()["parity"],
-                     "adaptive_matches": "yes"}}),
+                     "weak_strong_matches": "yes"}}),
     ]
     for expect, report in broken_detection:
         try:
@@ -587,15 +571,15 @@ def self_test() -> int:
         else:
             raise AssertionError("accepted parity_ok=false report")
 
-        # Single-file detection parity: the confirming policies must
-        # match confirm-read, and the report's own flags must agree.
+        # Single-file detection parity: weak-strong must match
+        # confirm-read, and the report's own flag must agree.
         check_detection_parity(
             dump("BENCH_detection.json", detection()))
         try:
             check_detection_parity(
-                dump("BENCH_detection.drift.json", detection(adaptive=8)))
+                dump("BENCH_detection.drift.json", detection(strong=8)))
         except SchemaError as error:
-            assert "parity mismatch for 'adaptive'" in str(error), \
+            assert "parity mismatch for 'weak-strong'" in str(error), \
                 str(error)
         else:
             raise AssertionError("accepted drifted detection parity")
@@ -643,8 +627,7 @@ def main(argv: list[str] | None = None) -> int:
                              "shard's service fingerprint against its "
                              "recorded independent reference; with one "
                              "detection report, verify the weak+strong "
-                             "and adaptive decision fingerprints against "
-                             "confirm-read")
+                             "decision fingerprint against confirm-read")
     args = parser.parse_args(argv)
 
     if args.self_test:

@@ -147,9 +147,6 @@ KNOWN_KNOBS = frozenset({
     "DEWRITE_AUDIT",         # run-end + epoch metadata audits
     "DEWRITE_AUDIT_EPOCH",   # audit cadence in events
     "DEWRITE_BATCH",         # write-batch capacity (1..kMaxWriteBatch)
-    "DEWRITE_DETECT",        # detection policy (confirm-read/weak-only/
-                             # weak-strong/adaptive)
-    "DEWRITE_DETECT_EPOCH",  # adaptive-detection epoch in commits
     "DEWRITE_EVENTS",        # events per experiment cell
     "DEWRITE_LOG",           # log level
     "DEWRITE_SHARDS",        # service shard count (1..64)
@@ -163,13 +160,15 @@ KNOWN_KNOBS = frozenset({
 # provenance can stamp every knob's live value; the two lists must
 # stay in lockstep (checked whenever env.cc is linted).
 KNOB_MIRROR_FILE = "src/common/env.cc"
-KNOB_LITERAL_RE = re.compile(r'"(DEWRITE_[A-Z0-9_]*)"')
+# A name needs at least one character past the prefix: the bare
+# "DEWRITE_" literal is the prefix rejectUnknownKnobs() scans for.
+KNOB_LITERAL_RE = re.compile(r'"(DEWRITE_[A-Z0-9_]+)"')
 
 # Calls whose first argument names an environment variable. The knob
 # literal is inspected on the raw line (strip_code erases string
 # contents), but only when the call itself survives comment stripping.
 ENV_CALL_RE = re.compile(
-    r"\b(?P<call>envFlag|envUint|envChoice|envRaw|getenv|setenv|unsetenv"
+    r"\b(?P<call>envFlag|envUint|envRaw|getenv|setenv|unsetenv"
     r")\s*\(\s*"
     r"\"(?P<knob>DEWRITE_[A-Z0-9_]*)\"")
 ENV_KNOB_RULE = "env-knob-registry"
