@@ -75,8 +75,6 @@ knownKnobs()
         "DEWRITE_LOG",
         "DEWRITE_SHARDS",
         "DEWRITE_STAGE_PROFILE",
-        "DEWRITE_TELEMETRY",
-        "DEWRITE_TELEMETRY_EVERY",
         "DEWRITE_THREADS",
     };
     return knobs;

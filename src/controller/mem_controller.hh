@@ -138,7 +138,7 @@ class MemController
      * @{ Full latency distributions, bucketed at noteWrite/noteRead —
      * the base class records them, so every scheme (secure baseline
      * included) exposes the same "controller.{write,read}_latency.*"
-     * quantile paths and telemetry snapshots stay scheme-comparable.
+     * quantile paths and registry snapshots stay scheme-comparable.
      */
     const obs::LatencyHistogram &writeLatencyHist() const
     {

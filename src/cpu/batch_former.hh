@@ -68,16 +68,6 @@ class BatchFormer
     Time slotNow(std::size_t slot) const { return slots_[slot].now; }
 
     /**
-     * Address of staged slot @p slot; same post-flush lifetime as
-     * slotNow(), which lets telemetry attribute flushed writes to
-     * their tenants from the response array.
-     */
-    LineAddr slotAddr(std::size_t slot) const
-    {
-        return slots_[slot].addr;
-    }
-
-    /**
      * Hands every staged write to @p controller.writeBatch() in stage
      * order, filling results[0..size) — the strict-equivalence batch
      * contract — and counts the flush under @p reason. Empty formers

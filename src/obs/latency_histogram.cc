@@ -10,19 +10,6 @@
 
 namespace dewrite::obs {
 
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    for (std::size_t i = 0; i < kBuckets; ++i)
-        buckets_[i] += other.buckets_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    // The empty-histogram sentinels (max 0, min ~0) are identities of
-    // max/min, so merging an empty histogram is a no-op.
-    max_ = std::max(max_, other.max_);
-    min_ = std::min(min_, other.min_);
-}
-
 std::uint64_t
 LatencyHistogram::bucketLowerBound(std::size_t index)
 {

@@ -2,21 +2,19 @@
  * @file
  * Fixed-size log2-bucketed latency histogram (HDR-style).
  *
- * The telemetry plane needs percentiles over millions of per-request
- * latencies without allocating on the hot path or shipping raw samples
- * around. A LatencyHistogram covers the full uint64 range with 64
- * power-of-two rows of 4 linear sub-buckets each (256 counters, ~2 KiB,
- * plus exact count/min/max/sum), so record() is a handful of ALU ops
- * and one increment, and relative quantile error is bounded by the
- * sub-bucket resolution (< 25%, typically ~12%).
+ * The MemController base class records every serviced write and read
+ * latency here and exports the p50/p99/p99.9/max quantiles under
+ * "controller.{write,read}_latency.", for every scheme alike. That
+ * needs percentiles over millions of per-request latencies without
+ * allocating on the hot path or keeping raw samples. A
+ * LatencyHistogram covers the full uint64 range with 64 power-of-two
+ * rows of 4 linear sub-buckets each (256 counters, ~2 KiB, plus exact
+ * count/min/max/sum), so record() is a handful of ALU ops and one
+ * increment, and relative quantile error is bounded by the sub-bucket
+ * resolution (< 25%, typically ~12%).
  *
- * Histograms are plain mergeable value types: merge() adds bucket
- * counts, which is exact, associative, and commutative — the property
- * the service leans on when it folds shard-local histograms into
- * per-tenant aggregates at round boundaries without any hot-path
- * sharing. All state is host-side observability; nothing here may feed
- * back into simulated results (the fingerprint-invariance tests pin
- * that).
+ * All state is host-side observability, a plain value type; nothing
+ * here may feed back into simulated results.
  */
 
 #ifndef DEWRITE_OBS_LATENCY_HISTOGRAM_HH
@@ -52,13 +50,6 @@ class LatencyHistogram
         if (value < min_)
             min_ = value;
     }
-
-    /**
-     * Folds @p other in: bucket-exact, associative, and commutative
-     * (all state is integer sums / extrema), so shard-local histograms
-     * can be merged in any grouping with identical results.
-     */
-    void merge(const LatencyHistogram &other);
 
     void reset() { *this = LatencyHistogram(); }
 

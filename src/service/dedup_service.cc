@@ -62,7 +62,6 @@ DedupService::DedupService(const ServiceOptions &options)
               options_.linesPerTenant),
       mux_(tenants_, options_.burstMax), shards_(options_.shards),
       pool_(options_.threads), skew_(options_.shards),
-      sink_(obs::TelemetryConfig::fromEnv()),
       roundCounts_(options_.shards, 0)
 {
     // Every shard of a run must agree on the batch capacity even if
@@ -76,10 +75,6 @@ DedupService::DedupService(const ServiceOptions &options)
         shard.core = std::make_unique<ShardCore>(
             shard.system->config().timing, shard.system->controller(),
             batch);
-        shard.telemetry = std::make_unique<obs::ShardTelemetry>(
-            shards_.size(), k, options_.tenants,
-            options_.linesPerTenant);
-        shard.core->setTelemetry(shard.telemetry.get());
     }
 
     serviceRegistry_.addCounter("service.rounds", roundsIngested_,
@@ -97,46 +92,6 @@ DedupService::DedupService(const ServiceOptions &options)
                     },
                     "events the router sent this shard");
         shards_[k].core->former().registerMetrics(scope.scope("batch"));
-
-        // Live latency/dedup gauges over the shard's telemetry. Read
-        // by snapshot() only between rounds / after the run — never
-        // concurrently with the owning drain task.
-        const obs::ShardTelemetry *telemetry = shards_[k].telemetry.get();
-        obs::MetricRegistry::Scope tele = serviceRegistry_.scope(
-            "shard" + std::to_string(k) + ".telemetry");
-        tele.gauge("write_latency.p50_ps",
-                   [telemetry] {
-                       return static_cast<double>(
-                           telemetry->writeHist().p50());
-                   },
-                   "median serviced write latency (ps)");
-        tele.gauge("write_latency.p99_ps",
-                   [telemetry] {
-                       return static_cast<double>(
-                           telemetry->writeHist().p99());
-                   },
-                   "p99 serviced write latency (ps)");
-        tele.gauge("read_latency.p99_ps",
-                   [telemetry] {
-                       return static_cast<double>(
-                           telemetry->readHist().p99());
-                   },
-                   "p99 serviced read latency (ps)");
-        tele.gauge("batch_span.p99_ps",
-                   [telemetry] {
-                       return static_cast<double>(
-                           telemetry->batchHist().p99());
-                   },
-                   "p99 batch stage-to-commit span (ps)");
-        tele.gauge("dup_ratio",
-                   [telemetry] {
-                       const std::uint64_t writes = telemetry->writes();
-                       return writes ? static_cast<double>(
-                                           telemetry->writesEliminated()) /
-                               static_cast<double>(writes)
-                                     : 0.0;
-                   },
-                   "eliminated / serviced writes so far");
     }
 
     // Shard-skew watch: the trigger inputs for the ROADMAP's
@@ -157,34 +112,8 @@ DedupService::DedupService(const ServiceOptions &options)
                "mean events/shard last round");
     skew.gauge("round_cv", [this] { return skew_.lastRound().cv; },
                "events/shard coefficient of variation, last round");
-    skew.gauge("window_cv", [this] { return skew_.windowStats().cv; },
-               "events/shard CV since the last telemetry emit");
     skew.gauge("total_cv", [this] { return skew_.totalStats().cv; },
                "events/shard CV over the whole run");
-    skew.gauge("alert",
-               [this] { return skew_.alert() ? 1.0 : 0.0; },
-               "1 when the window CV exceeds kSkewAlertCv");
-}
-
-void
-DedupService::emitTelemetry(bool final_frame)
-{
-    if (!sink_.enabled())
-        return;
-    obs::TelemetryFrame frame;
-    frame.round = roundsIngested_.value();
-    frame.totalEvents = produced_;
-    frame.final = final_frame;
-    frame.shards.reserve(shards_.size());
-    frame.shardEvents.reserve(shards_.size());
-    for (const Shard &shard : shards_) {
-        frame.shards.push_back(shard.telemetry.get());
-        frame.shardEvents.push_back(shard.events);
-    }
-    frame.skew = &skew_;
-    frame.samples = registrySnapshot();
-    sink_.emit(frame);
-    skew_.resetWindow();
 }
 
 std::uint64_t
@@ -277,13 +206,11 @@ DedupService::run()
         const std::uint64_t next_filled = fillRound(next);
         pool_.wait();
 
-        // Post-barrier: the drained buffers and every shard's
-        // telemetry are quiescent, so the main thread may read them.
+        // Post-barrier: the drained buffers are quiescent, so the
+        // main thread may read them.
         for (std::size_t k = 0; k < shards_.size(); ++k)
             roundCounts_[k] = shards_[k].buffers[side].size();
-        skew_.noteRound(roundCounts_.data(), roundCounts_.size());
-        if (sink_.due(roundsIngested_.value()))
-            emitTelemetry(/*final_frame=*/false);
+        skew_.noteRound(roundCounts_);
 
         side = next;
         filled = next_filled;
@@ -297,10 +224,6 @@ DedupService::run()
         });
     }
     pool_.wait();
-
-    // Run-end snapshot: after finish() drained every staged tail, so
-    // the final frame's histograms cover every serviced request.
-    emitTelemetry(/*final_frame=*/true);
 
     result.totalEvents = produced_;
     result.hostSeconds =

@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "obs/metric_registry.hh"
-#include "obs/telemetry.hh"
 #include "service/shard_core.hh"
 #include "service/shard_router.hh"
+#include "service/skew_monitor.hh"
 #include "service/tenant_mux.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -105,18 +105,8 @@ class DedupService
      */
     std::vector<obs::MetricSample> registrySnapshot() const;
 
-    /** @{ Telemetry plane (always recorded; sink only when enabled). */
-    const obs::ShardTelemetry &shardTelemetry(std::size_t shard) const
-    {
-        return *shards_[shard].telemetry;
-    }
-    const obs::SkewMonitor &skewMonitor() const { return skew_; }
-    const obs::TelemetrySink &telemetrySink() const { return sink_; }
-    std::uint64_t telemetrySnapshots() const
-    {
-        return sink_.snapshots();
-    }
-    /** @} */
+    /** Per-round and whole-run events/shard dispersion. */
+    const SkewMonitor &skewMonitor() const { return skew_; }
 
     /**
      * The per-shard tenant streams resolved from @p options — the
@@ -144,9 +134,6 @@ class DedupService
     {
         std::unique_ptr<System> system;
         std::unique_ptr<ShardCore> core;
-        /** Written only by this shard's drain task (zero-sharing);
-         * read by the main thread strictly after pool.wait(). */
-        std::unique_ptr<obs::ShardTelemetry> telemetry;
         /** Double ingest buffers: fill one while the pool drains the
          * other. */
         std::vector<MemEvent> buffers[2];
@@ -160,9 +147,6 @@ class DedupService
     /** Finalizes one shard: drain, account, audit, fingerprint. */
     ShardOutcome finalizeShard(std::size_t shard);
 
-    /** Assembles and emits one telemetry frame (round or run-end). */
-    void emitTelemetry(bool final_frame);
-
     ServiceOptions options_;          //!< With zeros resolved.
     std::uint64_t totalEvents_ = 0;
     std::uint64_t produced_ = 0;      //!< Mux events drawn so far.
@@ -173,8 +157,7 @@ class DedupService
     ThreadPool pool_;
     Counter roundsIngested_;          //!< Drain rounds executed.
 
-    obs::SkewMonitor skew_;
-    obs::TelemetrySink sink_;
+    SkewMonitor skew_;
     /** Scratch for per-round skew counts (no per-round allocation). */
     std::vector<std::uint64_t> roundCounts_;
 

@@ -29,26 +29,8 @@ ShardCore::ShardCore(const TimingConfig &timing,
 void
 ShardCore::flush(BatchFormer::FlushReason reason)
 {
-    const std::size_t flushed =
-        former_.flush(controller_, responses_.data(), reason);
-    if (flushed == 0)
+    if (former_.flush(controller_, responses_.data(), reason) == 0)
         return;
-    if (telemetry_) {
-        // Slot data stays readable after flush() (BatchFormer
-        // contract), so attribute each response to its address here.
-        Time first_issue = former_.slotNow(0);
-        Time last_commit = 0;
-        for (std::size_t s = 0; s < flushed; ++s) {
-            const Time issue = former_.slotNow(s);
-            const Time commit = issue + responses_[s].latency;
-            telemetry_->recordWrite(former_.slotAddr(s),
-                                    responses_[s].latency,
-                                    responses_[s].eliminated);
-            first_issue = std::min(first_issue, issue);
-            last_commit = std::max(last_commit, commit);
-        }
-        telemetry_->recordBatchCommit(last_commit - first_issue);
-    }
     for (StoreEntry &entry : storeQueue_) {
         if (entry.batchSlot >= 0) {
             if (responses_[entry.batchSlot].eliminated)
@@ -92,8 +74,6 @@ ShardCore::feed(const MemEvent &event)
         flush(BatchFormer::FlushReason::Read);
         const CtrlReadResult read =
             controller_.readTiming(event.addr, now_);
-        if (telemetry_)
-            telemetry_->recordRead(event.addr, read.latency);
         now_ += read.latency;
         ++reads_;
     }

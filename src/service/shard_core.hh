@@ -25,7 +25,6 @@
 #include "common/timing.hh"
 #include "cpu/batch_former.hh"
 #include "cpu/core_model.hh"
-#include "obs/telemetry.hh"
 #include "trace/trace.hh"
 
 namespace dewrite {
@@ -61,17 +60,6 @@ class ShardCore
     /** The shard's batch former (flush-reason accounting). */
     const BatchFormer &former() const { return former_; }
 
-    /**
-     * Attaches the shard's telemetry (owned by the service, written
-     * only from this core's drain task — the zero-sharing discipline).
-     * Recording is pure host-side observation of latencies the core
-     * computes anyway; it never feeds back into timing or results.
-     */
-    void setTelemetry(obs::ShardTelemetry *telemetry)
-    {
-        telemetry_ = telemetry;
-    }
-
   private:
     void flush(BatchFormer::FlushReason reason);
 
@@ -79,7 +67,6 @@ class ShardCore
     const TimingConfig timing_;
     MemController &controller_;
     BatchFormer former_;
-    obs::ShardTelemetry *telemetry_ = nullptr;
 
     /** One in-flight write; batchSlot -1 once its completion is known. */
     struct StoreEntry

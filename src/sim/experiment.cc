@@ -16,7 +16,6 @@
 #include "common/logging.hh"
 #include "dedup/metadata_auditor.hh"
 #include "obs/stage_profile.hh"
-#include "obs/telemetry.hh"
 
 namespace dewrite {
 
@@ -131,16 +130,15 @@ experimentEvents()
     // Every bench resolves its event budget here, so this is the
     // shared spot to validate the rest of the experiment environment:
     // an unknown or retired DEWRITE_* name, or a malformed DEWRITE_LOG,
-    // DEWRITE_AUDIT, DEWRITE_AUDIT_EPOCH, DEWRITE_BATCH,
-    // DEWRITE_STAGE_PROFILE, or DEWRITE_TELEMETRY_EVERY dies before any
-    // cell runs (even when the value would never be read).
+    // DEWRITE_AUDIT, DEWRITE_AUDIT_EPOCH, DEWRITE_BATCH or
+    // DEWRITE_STAGE_PROFILE dies before any cell runs (even when the
+    // value would never be read).
     rejectUnknownKnobs();
     logLevel();
     auditEnabled();
     auditEpochWrites();
     writeBatchSize();
     obs::stageProfileEnabled();
-    obs::TelemetryConfig::fromEnv();
     return envUint("DEWRITE_EVENTS", 120000, 1, kMaxExperimentEvents);
 }
 

@@ -3,8 +3,8 @@
  * Property tests for the log2-bucketed latency histogram, checked
  * against a sorted-vector oracle: reported percentiles must land in
  * the same bucket as the true order statistic and never undershoot
- * it, merge must be exact/associative/commutative, and the overflow
- * row must saturate instead of widening past the uint64 range.
+ * it, and the overflow row must saturate instead of widening past the
+ * uint64 range.
  */
 
 #include <gtest/gtest.h>
@@ -147,60 +147,6 @@ TEST(LatencyHistogram, MeanSumAreExact)
     EXPECT_EQ(h.sum(), sum);
     EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(sum) /
                                    static_cast<double>(samples.size()));
-}
-
-TEST(LatencyHistogram, MergeEqualsRecordingEverything)
-{
-    const std::vector<std::uint64_t> a = sampleMix(1, 4000);
-    const std::vector<std::uint64_t> b = sampleMix(2, 3000);
-
-    LatencyHistogram ha, hb, hall;
-    for (const std::uint64_t v : a) {
-        ha.record(v);
-        hall.record(v);
-    }
-    for (const std::uint64_t v : b) {
-        hb.record(v);
-        hall.record(v);
-    }
-    LatencyHistogram merged = ha;
-    merged.merge(hb);
-    EXPECT_EQ(merged, hall);
-}
-
-TEST(LatencyHistogram, MergeIsAssociativeAndCommutative)
-{
-    LatencyHistogram parts[3];
-    for (int k = 0; k < 3; ++k)
-        for (const std::uint64_t v :
-             sampleMix(static_cast<std::uint64_t>(100 + k), 2000))
-            parts[k].record(v);
-
-    // (a + b) + c
-    LatencyHistogram left = parts[0];
-    left.merge(parts[1]);
-    left.merge(parts[2]);
-    // a + (b + c)
-    LatencyHistogram bc = parts[1];
-    bc.merge(parts[2]);
-    LatencyHistogram right = parts[0];
-    right.merge(bc);
-    EXPECT_EQ(left, right);
-
-    // c + b + a
-    LatencyHistogram reversed = parts[2];
-    reversed.merge(parts[1]);
-    reversed.merge(parts[0]);
-    EXPECT_EQ(left, reversed);
-
-    // Merging an empty histogram is an identity in both directions.
-    LatencyHistogram empty;
-    LatencyHistogram with_empty = left;
-    with_empty.merge(empty);
-    EXPECT_EQ(with_empty, left);
-    LatencyHistogram from_empty;
-    from_empty.merge(left);
-    EXPECT_EQ(from_empty, left);
 }
 
 TEST(LatencyHistogram, OverflowRegionSaturates)

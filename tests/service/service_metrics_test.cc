@@ -2,14 +2,15 @@
  * @file
  * Registry exposure of the host-side counters: the PadCache hit/miss
  * counters, the batch former's flush reasons, and the service's merged
- * per-shard snapshot. All of these are host-side accounting — the
- * suite also pins that none of them leak into the legacy StatSet view
- * that result signatures are built from.
+ * per-shard snapshot with its skew gauges. All of these are host-side
+ * accounting — the suite also pins that none of them leak into the
+ * legacy StatSet view that result signatures are built from.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "service/dedup_service.hh"
 #include "sim/experiment.hh"
@@ -27,6 +28,20 @@ sampleValue(const std::vector<obs::MetricSample> &samples,
         [&](const obs::MetricSample &s) { return s.path == path; });
     EXPECT_NE(it, samples.end()) << "missing metric " << path;
     return it == samples.end() ? -1.0 : it->value;
+}
+
+ServiceOptions
+smallOptions(std::size_t shards)
+{
+    ServiceOptions options;
+    options.shards = shards;
+    options.threads = 2;
+    options.tenants = 16;
+    options.linesPerTenant = 1024;
+    options.burstMax = 8;
+    options.roundEvents = 1024;
+    options.totalEvents = 16000;
+    return options;
 }
 
 DetailedExperiment
@@ -80,10 +95,10 @@ TEST(PipelineMetrics, SecureBaselineExposesItsPadCache)
 
 TEST(PipelineMetrics, LatencyQuantilesShareOnePathAcrossSchemes)
 {
-    // The telemetry plane registers the histogram quantiles in the
-    // MemController base class, so the dewrite controller and the
-    // secure baseline expose the *same* metric paths — dashboards
-    // compare schemes without per-scheme wiring.
+    // The MemController base class registers the histogram quantiles,
+    // so the dewrite controller and the secure baseline expose the
+    // *same* metric paths — dashboards compare schemes without
+    // per-scheme wiring.
     for (const SchemeOptions &scheme :
          { dewriteScheme(DedupMode::Predicted),
            secureBaselineScheme() }) {
@@ -161,7 +176,108 @@ TEST(ServiceMetrics, MergedSnapshotCoversEveryShard)
         sampleValue(merged, shard + "system.sim_picoseconds");
         sampleValue(merged,
                     shard + "controller.dedup.pad_cache.misses");
+        // The controller's histograms are the only per-shard latency
+        // view; no service-side copy is registered.
+        EXPECT_TRUE(std::none_of(
+            merged.begin(), merged.end(), [&](const auto &s) {
+                return s.path.starts_with(shard + "telemetry.");
+            }));
     }
+}
+
+TEST(ServiceMetrics, ShardTotalsReconcileWithRunAccounting)
+{
+    // Each shard controller's request counters match the run
+    // accounting: every staged write and every read reached the
+    // controller, and its eliminated count is the run's.
+    const ServiceOptions options = smallOptions(4);
+    DedupService service(options);
+    const ServiceResult result = service.run();
+    const std::vector<obs::MetricSample> merged =
+        service.registrySnapshot();
+
+    std::uint64_t writes = 0, reads = 0;
+    double flushes = 0.0;
+    for (std::size_t k = 0; k < service.shards(); ++k) {
+        const std::string shard = "shard" + std::to_string(k) + ".";
+        const RunResult &run = result.shards[k].cell.run;
+        EXPECT_EQ(sampleValue(merged, shard + "controller.write_requests"),
+                  static_cast<double>(run.writes));
+        EXPECT_EQ(sampleValue(merged, shard + "controller.read_requests"),
+                  static_cast<double>(run.reads));
+        EXPECT_EQ(sampleValue(merged,
+                              shard + "controller.writes_eliminated"),
+                  static_cast<double>(run.writesEliminated));
+        writes += run.writes;
+        reads += run.reads;
+        for (const char *reason : { "flush_read", "flush_queue_full",
+                                    "flush_batch_full",
+                                    "flush_trace_end" })
+            flushes += sampleValue(merged,
+                                   shard + "ingest.batch." + reason);
+    }
+    EXPECT_GT(writes, 0u);
+    EXPECT_GT(reads, 0u);
+    EXPECT_GT(flushes, 0.0);
+}
+
+TEST(ServiceMetrics, ShardControllerViewMatchesTheReference)
+{
+    // Each shard's latency quantiles and eliminated-write count in the
+    // merged snapshot equal those of an independent single-shard run
+    // over the same partition.
+    const ServiceOptions options = smallOptions(4);
+    DedupService service(options);
+    const ServiceResult result = service.run();
+    const std::vector<obs::MetricSample> merged =
+        service.registrySnapshot();
+
+    for (std::size_t k = 0; k < service.shards(); ++k) {
+        const std::vector<obs::MetricSample> reference =
+            DedupService::runShardReference(options, k,
+                                            result.shards[k].events)
+                .metrics;
+        const std::string shard = "shard" + std::to_string(k) + ".";
+        std::vector<std::string> paths = {
+            "controller.writes_eliminated"
+        };
+        for (const char *kind : { "write", "read" })
+            for (const char *q : { "p50", "p99", "p999", "max" })
+                paths.push_back(std::string("controller.") + kind +
+                                "_latency." + q + "_ps");
+        for (const std::string &path : paths) {
+            EXPECT_EQ(sampleValue(merged, shard + path),
+                      sampleValue(reference, path))
+                << shard << path;
+        }
+        EXPECT_GT(sampleValue(reference,
+                              "controller.write_latency.p50_ps"),
+                  0.0)
+            << shard;
+    }
+}
+
+TEST(ServiceMetrics, SkewGaugesAppearInMergedSnapshot)
+{
+    DedupService service(smallOptions(4));
+    service.run();
+
+    double min = -1, mean = -1, max = -1, cv = -1;
+    for (const obs::MetricSample &s : service.registrySnapshot()) {
+        if (s.path == "service.skew.round_min")
+            min = s.value;
+        else if (s.path == "service.skew.round_mean")
+            mean = s.value;
+        else if (s.path == "service.skew.round_max")
+            max = s.value;
+        else if (s.path == "service.skew.total_cv")
+            cv = s.value;
+    }
+    ASSERT_GE(min, 0.0);
+    ASSERT_GE(cv, 0.0);
+    EXPECT_LE(min, mean);
+    EXPECT_LE(mean, max);
+    EXPECT_GT(service.skewMonitor().rounds(), 0u);
 }
 
 } // namespace

@@ -105,7 +105,9 @@ TEST(ExperimentEventsDeathTest, RejectsUnknownKnobEagerly)
     // A retired knob or a typo'd name is never parsed, so without the
     // scan it would be ignored silently; it dies naming the variable.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    for (const char *name : { "DEWRITE_DETECT", "DEWRITE_EVENT" }) {
+    for (const char *name : { "DEWRITE_DETECT", "DEWRITE_EVENT",
+                              "DEWRITE_TELEMETRY",
+                              "DEWRITE_TELEMETRY_EVERY" }) {
         ScopedEnv env(name, "1");
         EXPECT_EXIT(experimentEvents(), ::testing::ExitedWithCode(1),
                     std::string(name) + " is not a known")

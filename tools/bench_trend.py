@@ -22,12 +22,7 @@ it with repeated steady-state runs.
 --update-baseline rewrites the baseline from the given reports (run
 it after an intentional change to the simulated results).
 
---validate-telemetry FILE parses a DEWRITE_TELEMETRY JSONL stream and
-verifies every snapshot line parses, the stream ends with a final
-frame, and (with --tenants N) the final frame carries a per-tenant
-write-latency p99 for every tenant.
-
-Exit codes: 0 ok, 1 parity/validation failure, 2 usage.
+Exit codes: 0 ok, 1 parity failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -141,48 +136,6 @@ def build_baseline(all_metrics: list[dict]) -> dict:
     return {"benches": benches}
 
 
-def validate_telemetry(path: str, tenants: int | None) -> None:
-    """A DEWRITE_TELEMETRY JSONL stream: every line parses, the stream
-    ends with a final frame, and the final frame has a per-tenant
-    write-latency p99 for every expected tenant."""
-    frames = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    frame = json.loads(line)
-                except json.JSONDecodeError as error:
-                    fail(f"{path}:{lineno}: invalid JSONL: {error}")
-                if frame.get("type") != "telemetry":
-                    fail(f"{path}:{lineno}: unexpected record type "
-                         f"{frame.get('type')!r}")
-                frames.append(frame)
-    except OSError as error:
-        fail(f"{path}: {error}")
-    if not frames:
-        fail(f"{path}: no telemetry snapshots")
-    final = frames[-1]
-    if final.get("final") is not True:
-        fail(f"{path}: last snapshot is not a final frame")
-
-    per_tenant = final.get("per_tenant")
-    if not isinstance(per_tenant, list) or not per_tenant:
-        fail(f"{path}: final frame has no 'per_tenant' array")
-    expected = tenants if tenants is not None else len(per_tenant)
-    seen = set()
-    for entry in per_tenant:
-        tenant = entry.get("tenant")
-        hist = entry.get("write_latency_ps")
-        if not isinstance(hist, dict) or "p99" not in hist:
-            fail(f"{path}: tenant {tenant} lacks a write-latency p99")
-        seen.add(tenant)
-    if seen != set(range(expected)):
-        fail(f"{path}: per-tenant p99s cover {sorted(seen)}, expected "
-             f"tenants 0..{expected - 1}")
-
-
 def self_test() -> int:
     """Seeded checks: the gate must pass a faithful re-run and fail any
     fingerprint drift or workload-shape change."""
@@ -271,42 +224,6 @@ def self_test() -> int:
         assert all("recorded_unix" in r and "provenance" in r
                    for r in records)
 
-        # Telemetry stream validation: a good stream passes; a stream
-        # missing a tenant, or without a final frame, is rejected.
-        stream = os.path.join(tmp, "telemetry.jsonl")
-
-        def tenant(t: int) -> dict:
-            return {"tenant": t, "write_latency_ps": {"p99": 5}}
-
-        def write_stream(lines: list[dict]) -> None:
-            with open(stream, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(json.dumps(line) + "\n")
-
-        write_stream([
-            {"type": "telemetry", "round": 4, "final": False,
-             "per_tenant": [tenant(0), tenant(1)]},
-            {"type": "telemetry", "round": 8, "final": True,
-             "per_tenant": [tenant(0), tenant(1)]},
-        ])
-        validate_telemetry(stream, tenants=2)
-        try:
-            validate_telemetry(stream, tenants=3)
-        except TrendError as error:
-            assert "expected tenants 0..2" in str(error), str(error)
-        else:
-            raise AssertionError("accepted a missing tenant")
-        write_stream([{"type": "telemetry", "round": 4,
-                       "final": False,
-                       "per_tenant": [tenant(0)]}])
-        try:
-            validate_telemetry(stream, tenants=1)
-        except TrendError as error:
-            assert "not a final frame" in str(error), str(error)
-        else:
-            raise AssertionError("accepted a stream with no final "
-                                 "frame")
-
     # End-to-end through main(): a faithful re-run exits 0 and a
     # fingerprint drift exits 1 — the CI contract.
     import contextlib
@@ -362,23 +279,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="rewrite the baseline from the reports")
     parser.add_argument("--self-test", action="store_true",
                         help="run the seeded-regression self-test")
-    parser.add_argument("--validate-telemetry", metavar="FILE",
-                        help="validate a DEWRITE_TELEMETRY JSONL "
-                             "stream instead of bench reports")
-    parser.add_argument("--tenants", type=int, default=None,
-                        help="expected tenant count for "
-                             "--validate-telemetry")
     args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
 
     try:
-        if args.validate_telemetry:
-            validate_telemetry(args.validate_telemetry, args.tenants)
-            print(f"{args.validate_telemetry}: telemetry stream OK")
-            return 0
-
         if not args.files:
             parser.error("no report files given")
         all_metrics = [extract_metrics(path, load_json(path))

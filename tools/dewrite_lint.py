@@ -151,8 +151,6 @@ KNOWN_KNOBS = frozenset({
     "DEWRITE_LOG",           # log level
     "DEWRITE_SHARDS",        # service shard count (1..64)
     "DEWRITE_STAGE_PROFILE", # per-stage host-cycle attribution
-    "DEWRITE_TELEMETRY",     # service telemetry JSONL sink path
-    "DEWRITE_TELEMETRY_EVERY",  # telemetry emit cadence (rounds)
     "DEWRITE_THREADS",       # runner / service worker threads
 })
 
@@ -491,14 +489,14 @@ def self_test() -> int:
     assert lint_text("tests/common/env_test.cc",
                      "setenv(\"DEWRITE_ENV_TEST_VAR\", \"1\", 1);") == []
 
-    # Telemetry knobs are registered; a typo'd one is caught like any
+    # A registered knob passes in src/; a typo'd one is caught like any
     # other unknown knob.
     assert lint_text(
         "src/t.cc",
-        "auto p = envUint(\"DEWRITE_TELEMETRY_EVERY\", 16, 1, 8);") == []
+        "auto p = envUint(\"DEWRITE_AUDIT_EPOCH\", 16, 1, 8);") == []
     rows = lint_text(
         "src/t.cc",
-        "auto p = envUint(\"DEWRITE_TELEMETRY_EVRY\", 16, 1, 8);")
+        "auto p = envUint(\"DEWRITE_AUDIT_EPOH\", 16, 1, 8);")
     assert [(r[1], r[2]) for r in rows] == [(1, "env-knob-registry")], \
         rows
 
@@ -512,7 +510,7 @@ def self_test() -> int:
     assert [(r[2], "DEWRITE_TYPO" in r[3]) for r in rows] == \
         [("env-knob-registry", True)], rows
     rows = lint_text("src/common/env.cc",
-                     catalogue.replace("    \"DEWRITE_TELEMETRY\",\n",
+                     catalogue.replace("    \"DEWRITE_AUDIT\",\n",
                                        ""))
     assert [(r[2], "missing from knownKnobs()" in r[3])
             for r in rows] == [("env-knob-registry", True)], rows
