@@ -20,12 +20,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -33,49 +27,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : state_)
         word = splitMix64(sm);
-}
-
-std::uint64_t
-Rng::next64()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    // Debiased multiply-shift (Lemire); the bias without rejection is
-    // negligible for workload generation, so we keep the fast path only.
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(next64()) * bound;
-    return static_cast<std::uint64_t>(product >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
 }
 
 std::uint64_t

@@ -11,6 +11,7 @@
 #ifndef DEWRITE_COMMON_RNG_HH
 #define DEWRITE_COMMON_RNG_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace dewrite {
@@ -27,17 +28,55 @@ class Rng
     /** Seeds the state from a single 64-bit seed using SplitMix64. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
+    // Defined here so they inline into the workload generators, which
+    // call them many times per event.
     /** Next raw 64-bit output. */
-    std::uint64_t next64();
+    std::uint64_t
+    next64()
+    {
+        const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @p bound must be nonzero. */
-    std::uint64_t nextBelow(std::uint64_t bound);
+    std::uint64_t
+    nextBelow(std::uint64_t bound)
+    {
+        // Debiased multiply-shift (Lemire); the bias without rejection
+        // is negligible for workload generation, so we keep the fast
+        // path only.
+        const unsigned __int128 product =
+            static_cast<unsigned __int128>(next64()) * bound;
+        return static_cast<std::uint64_t>(product >> 64);
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 random mantissa bits -> uniform in [0, 1).
+        return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw: true with probability @p p. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
     /**
      * Geometric-ish draw: samples from an exponential distribution with

@@ -30,10 +30,10 @@ SyntheticWorkload::SyntheticWorkload(const AppProfile &profile,
     phaseDupProb_ = std::clamp((profile.dupTarget - g) / (1.0 - 2.0 * g),
                                0.0, 1.0);
     // The generator only touches [addrBase_, addrBase_ + workingSet);
-    // size the mirror once so no growth happens while generating.
+    // size the mirror and the dup bits once so no growth happens while
+    // generating.
     image_.reserve(addr_base + profile.workingSetLines);
-    dupWritten_.reserve(addr_base + profile.workingSetLines);
-    writtenAddrs_.reserve(profile.workingSetLines);
+    dupWritten_.resize((profile.workingSetLines + 63) / 64);
 }
 
 SyntheticWorkload::SyntheticWorkload(const AppProfile &profile,
@@ -48,9 +48,9 @@ SyntheticWorkload::sampleWrittenAddr(double theta)
     // Recency-skewed: rank 0 = most recently first-written address.
     // The Zipf tail makes a few contents massively shared (Figure 7)
     // while keeping most reference counts tiny.
-    const std::uint64_t n = writtenAddrs_.size();
+    const std::uint64_t n = nextFreshAddr_;
     const std::uint64_t rank = rng_.nextZipf(n, theta);
-    return writtenAddrs_[n - 1 - rank];
+    return addrBase_ + (n - 1 - rank);
 }
 
 LineAddr
@@ -60,7 +60,7 @@ SyntheticWorkload::sampleReadAddr()
     // lines) and a strong preference for unique-content lines (bulk
     // zero fills and copies are rarely read back from memory).
     LineAddr addr = sampleWrittenAddr(profile_.popularityTheta * 0.5);
-    for (int retry = 0; retry < 3 && dupWritten_.contains(addr); ++retry)
+    for (int retry = 0; retry < 3 && lastWriteWasDup(addr); ++retry)
         addr = sampleWrittenAddr(profile_.popularityTheta * 0.5);
     return addr;
 }
@@ -69,9 +69,8 @@ LineAddr
 SyntheticWorkload::chooseWriteAddr()
 {
     const bool working_set_full =
-        writtenAddrs_.size() >= profile_.workingSetLines;
-    if (!writtenAddrs_.empty() &&
-        (working_set_full || rng_.chance(0.6))) {
+        nextFreshAddr_ >= profile_.workingSetLines;
+    if (nextFreshAddr_ != 0 && (working_set_full || rng_.chance(0.6))) {
         return sampleWrittenAddr(profile_.popularityTheta);
     }
     return addrBase_ + nextFreshAddr_++;
@@ -106,7 +105,7 @@ SyntheticWorkload::next(MemEvent &event)
     event.instGap = rng_.nextExponential(profile_.instGapMean);
 
     const bool is_write =
-        writtenAddrs_.empty() || rng_.chance(profile_.writeFraction);
+        nextFreshAddr_ == 0 || rng_.chance(profile_.writeFraction);
 
     if (!is_write) {
         event.isWrite = false;
@@ -122,14 +121,14 @@ SyntheticWorkload::next(MemEvent &event)
     // what makes the majority-of-3 predictor beat last-state
     // prediction (Figure 4).
     bool phase_dup;
-    if (phase_->started && !writtenAddrs_.empty() &&
+    if (phase_->started && nextFreshAddr_ != 0 &&
         rng_.chance(profile_.statePersistence)) {
         phase_dup = phase_->prevDup;
     } else {
         phase_dup = rng_.chance(phaseDupProb_);
     }
     bool dup = rng_.chance(profile_.glitchRate) ? !phase_dup : phase_dup;
-    if (writtenAddrs_.empty()) {
+    if (nextFreshAddr_ == 0) {
         phase_dup = false;
         dup = false;
     }
@@ -176,15 +175,13 @@ SyntheticWorkload::next(MemEvent &event)
         }
     }
 
-    if (!image_.isWritten(event.addr))
-        // dewrite-analyze: allow(hot-path-purity) workload synthesis is setup/driver
-        // code; the hot edge is a member-name over-approximation
-        writtenAddrs_.push_back(event.addr);
     image_.refForWrite(event.addr) = event.data;
+    const std::uint64_t line = event.addr - addrBase_;
+    const std::uint64_t bit = 1ULL << (line % 64);
     if (dup)
-        dupWritten_.insert(event.addr);
+        dupWritten_[line / 64] |= bit;
     else
-        dupWritten_.erase(event.addr);
+        dupWritten_[line / 64] &= ~bit;
     phase_->prevDup = phase_dup;
     phase_->started = true;
     return true;

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/dense_line_store.hh"
-#include "common/paged_array.hh"
 #include "common/rng.hh"
 #include "trace/trace.hh"
 
@@ -85,6 +84,14 @@ class SyntheticWorkload : public TraceSource
     /** Picks an already-written address, recency-skewed by @p theta. */
     LineAddr sampleWrittenAddr(double theta);
 
+    /** True iff the last write to @p addr carried duplicate content. */
+    bool
+    lastWriteWasDup(LineAddr addr) const
+    {
+        const std::uint64_t line = addr - addrBase_;
+        return (dupWritten_[line / 64] >> (line % 64)) & 1;
+    }
+
     /**
      * Picks a read target. Reads model LLC *misses*: the hottest lines
      * and bulk-duplicated regions (zero fills, copies) are served by
@@ -105,10 +112,15 @@ class SyntheticWorkload : public TraceSource
     std::shared_ptr<SharedPhase> phase_;
     double phaseDupProb_; //!< Phase-level dup prob after glitch removal.
 
-    DenseLineStore image_;               //!< Mirror of memory.
-    std::vector<LineAddr> writtenAddrs_; //!< Insertion order.
-    DenseAddrSet dupWritten_;            //!< Last write was a dup.
+    DenseLineStore image_; //!< Mirror of memory.
+    /** Bit addr - addrBase_ is set iff addr's last write was a dup. */
+    std::vector<std::uint64_t> dupWritten_;
     std::uint64_t uniqueStamp_ = 0;
+    /**
+     * Fresh addresses are handed out in order and never reused, so the
+     * written set is exactly [addrBase_, addrBase_ + nextFreshAddr_),
+     * first-written in ascending order.
+     */
     LineAddr nextFreshAddr_ = 0;
 };
 
