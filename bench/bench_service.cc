@@ -6,7 +6,6 @@
  * {1, 2, 4, 8} — each with as many worker threads as shards — and
  * reports aggregate host events/sec per configuration, plus the
  * speedup of every configuration over the 1-shard/1-thread baseline.
- * When DEWRITE_SHARDS is set, only that one configuration runs.
  *
  * Every configuration is also parity-checked in-process: each shard's
  * result fingerprint must equal an independent single-shard System run
@@ -16,10 +15,9 @@
  * threads, so the JSON records host_cpus alongside the measured
  * ratios.
  *
- * Results go to BENCH_service.json; `check_bench_schema.py --parity
- * BENCH_service.json` re-verifies the recorded fingerprints offline.
- * Events come from DEWRITE_EVENTS (default 120000); --quick runs 20x
- * shorter with the same shape.
+ * Results go to BENCH_service.json, which records both fingerprints
+ * of every shard. Events come from DEWRITE_EVENTS (default 120000);
+ * --quick runs 20x shorter with the same shape.
  */
 
 #include <cstdio>
@@ -28,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/table_printer.hh"
 #include "cpu/core_model.hh"
 #include "obs/bench_report.hh"
@@ -88,22 +85,13 @@ main(int argc, char **argv)
     const std::uint64_t events =
         quick ? experimentEvents() / 20 : experimentEvents();
 
-    // DEWRITE_SHARDS pins a single configuration; otherwise sweep the
-    // scaling shape the tentpole tracks.
-    std::vector<std::size_t> counts = { 1, 2, 4, 8 };
-    // Presence check only; the value itself still parses fail-fast
-    // through serviceShards().
-    // dewrite-lint: allow(env-fail-fast)
-    if (envRaw("DEWRITE_SHARDS"))
-        counts = { serviceShards() };
-
     std::printf("Sharded dedup service: %llu events, 16 tenants, "
                 "shards x threads sweep\n\n",
                 static_cast<unsigned long long>(events));
 
     std::vector<ConfigRow> rows;
     bool parity_ok = true;
-    for (const std::size_t shards : counts) {
+    for (const std::size_t shards : { 1u, 2u, 4u, 8u }) {
         const ServiceOptions options = benchOptions(shards, events);
         DedupService service(options);
         const ServiceResult result = service.run();

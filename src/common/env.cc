@@ -73,7 +73,6 @@ knownKnobs()
         "DEWRITE_BATCH",
         "DEWRITE_EVENTS",
         "DEWRITE_LOG",
-        "DEWRITE_SHARDS",
         "DEWRITE_STAGE_PROFILE",
         "DEWRITE_THREADS",
     };

@@ -32,48 +32,6 @@ Accumulator::reset()
     max_ = 0.0;
 }
 
-Histogram::Histogram(std::size_t bucket_count, double bucket_width)
-    : buckets_(bucket_count, 0), bucketWidth_(bucket_width)
-{
-}
-
-void
-Histogram::add(double sample)
-{
-    ++total_;
-    if (sample < 0) {
-        ++overflow_;
-        return;
-    }
-    const auto index = static_cast<std::size_t>(sample / bucketWidth_);
-    if (index >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[index];
-}
-
-double
-Histogram::fractionBelow(double threshold) const
-{
-    if (total_ == 0)
-        return 0.0;
-    std::uint64_t below = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const double upper = (i + 1) * bucketWidth_;
-        if (upper <= threshold)
-            below += buckets_[i];
-    }
-    return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    total_ = 0;
-}
-
 void
 StatSet::set(const std::string &name, double value)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight statistics primitives: named counters, means, histograms.
+ * Lightweight statistics primitives: named counters and means.
  *
  * Every simulated component accumulates its activity in Stat objects;
  * the experiment harnesses read them back to print the paper's tables
@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace dewrite {
 
@@ -48,35 +47,6 @@ class Accumulator
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-bucket histogram over [0, bucketCount * bucketWidth); samples at
- * or beyond the top land in an overflow bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(std::size_t bucket_count, double bucket_width);
-
-    void add(double sample);
-
-    std::size_t bucketCount() const { return buckets_.size(); }
-    double bucketWidth() const { return bucketWidth_; }
-    std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-    /** Fraction of samples strictly below @p threshold. */
-    double fractionBelow(double threshold) const;
-
-    void reset();
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-    double bucketWidth_;
 };
 
 /**

@@ -4,8 +4,7 @@
  *
  * Every bench binary that exports numbers writes one
  * BENCH_<name>.json in the working directory through this helper, so
- * downstream tooling (CI schema checks, cross-commit regression
- * trackers) can rely on a single shape:
+ * downstream tooling (the CI schema check) can rely on a single shape:
  *
  *   {
  *     "bench": "<name>",
@@ -25,8 +24,7 @@
  * reproduce or fairly compare the run: the exact commit (stamped at
  * build time by cmake/GenerateVersion.cmake), whether the tree was
  * dirty, the host's hardware concurrency, and the live value of every
- * registered DEWRITE_* knob (null = unset). tools/bench_trend.py keys
- * its history and regression gate on these fields.
+ * registered DEWRITE_* knob (null = unset).
  *
  * close() finishes the document and reports whether every byte made it
  * to disk; benches turn a false return into a non-zero exit code

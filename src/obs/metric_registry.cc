@@ -22,8 +22,6 @@ MetricRegistry::Entry::read() const
         return gauge();
       case MetricKind::Accumulator:
         return accumulator->mean();
-      case MetricKind::Histogram:
-        return static_cast<double>(histogram->total());
     }
     panic("bad metric kind");
 }
@@ -74,16 +72,6 @@ MetricRegistry::addAccumulator(std::string path,
     insert(std::move(path), std::move(desc), std::move(legacy),
            MetricKind::Accumulator)
         .accumulator = &accumulator;
-}
-
-void
-MetricRegistry::addHistogram(std::string path,
-                             const dewrite::Histogram &histogram,
-                             std::string desc, std::string legacy)
-{
-    insert(std::move(path), std::move(desc), std::move(legacy),
-           MetricKind::Histogram)
-        .histogram = &histogram;
 }
 
 void

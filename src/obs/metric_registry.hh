@@ -3,10 +3,10 @@
  * Hierarchical metric registry: every component's counters under one
  * dotted namespace.
  *
- * Components own their stat primitives (Counter / Accumulator /
- * Histogram from common/stats.hh, or a computed gauge) exactly as
- * before; the registry holds typed, non-owning references to them
- * under component paths ("controller.dedup.duplicate_commits",
+ * Components own their stat primitives (Counter / Accumulator from
+ * common/stats.hh, or a computed gauge) exactly as before; the
+ * registry holds typed, non-owning references to them under component
+ * paths ("controller.dedup.duplicate_commits",
  * "cache.metadata.hit_rate.mapping", ...). Registration happens once
  * at wiring time, so the hot path is untouched — reading a snapshot
  * walks the registered references.
@@ -43,7 +43,6 @@ enum class MetricKind : std::uint8_t
     Counter,
     Gauge,
     Accumulator,
-    Histogram,
 };
 
 /** One read-only view of a registered metric at snapshot time. */
@@ -51,8 +50,7 @@ struct MetricSample
 {
     std::string path;
     MetricKind kind = MetricKind::Gauge;
-    double value = 0.0; //!< Counter/gauge value; accumulator mean;
-                        //!< histogram total.
+    double value = 0.0; //!< Counter/gauge value; accumulator mean.
 
     bool operator==(const MetricSample &other) const = default;
 };
@@ -70,7 +68,6 @@ class MetricRegistry
 
         const dewrite::Counter *counter = nullptr;
         const dewrite::Accumulator *accumulator = nullptr;
-        const dewrite::Histogram *histogram = nullptr;
         std::function<double()> gauge;
 
         /** Primary scalar of the metric (see MetricSample::value). */
@@ -85,9 +82,6 @@ class MetricRegistry
     void addAccumulator(std::string path,
                         const dewrite::Accumulator &accumulator,
                         std::string desc, std::string legacy = "");
-    void addHistogram(std::string path,
-                      const dewrite::Histogram &histogram,
-                      std::string desc, std::string legacy = "");
     /** @} */
 
     /**
@@ -148,14 +142,6 @@ class MetricRegistry
         {
             registry_.addAccumulator(prefix_ + "." + name, a,
                                      std::move(desc), std::move(legacy));
-        }
-
-        void histogram(const std::string &name,
-                       const dewrite::Histogram &h, std::string desc,
-                       std::string legacy = "")
-        {
-            registry_.addHistogram(prefix_ + "." + name, h,
-                                   std::move(desc), std::move(legacy));
         }
 
         const std::string &prefix() const { return prefix_; }

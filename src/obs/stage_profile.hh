@@ -6,7 +6,7 @@
  * pipeline stage — digest, metadata probe, pad generation, confirm
  * read, commit — with the host TSC and accumulates cycles per stage;
  * the sums surface as registry gauges under "controller.dedup.stage.*"
- * and bench_throughput records them per scheme, so the dewrite /
+ * and dwbench's traced run reports them per write, so the dewrite /
  * secure-baseline throughput gap is attributable to a stage instead of
  * a guess.
  *

@@ -24,8 +24,6 @@ ServiceOptions
 resolved(const ServiceOptions &options)
 {
     ServiceOptions opts = options;
-    if (opts.shards == 0)
-        opts.shards = serviceShards();
     if (opts.totalEvents == 0)
         opts.totalEvents = experimentEvents();
     if (opts.threads == 0)

@@ -4,7 +4,7 @@
  *
  * The service scales the single-System simulator horizontally: the
  * multi-tenant address space and every piece of dedup metadata are
- * partitioned by ShardRouter into DEWRITE_SHARDS shards, each a full
+ * partitioned by ShardRouter into N shards, each a full
  * System (device + controller + metadata) driven by its own resumable
  * ShardCore. Shards share nothing mutable, so the drain loop needs no
  * locks: each ingest round routes a slice of the canonical tenant-mux
@@ -41,7 +41,7 @@ namespace dewrite {
 /** Everything one service run needs; zeros resolve to shared defaults. */
 struct ServiceOptions
 {
-    std::size_t shards = 0;       //!< 0 → DEWRITE_SHARDS (default 1).
+    std::size_t shards = 1;       //!< 1..kMaxShards.
     std::uint64_t tenants = 16;   //!< Concurrent tenant namespaces.
     std::uint64_t linesPerTenant = 4096; //!< Lines per namespace.
     unsigned burstMax = 32;       //!< Longest per-tenant ingest burst.

@@ -8,16 +8,8 @@
 #include <algorithm>
 
 #include "common/check.hh"
-#include "common/env.hh"
 
 namespace dewrite {
-
-std::size_t
-serviceShards()
-{
-    return static_cast<std::size_t>(
-        envUint("DEWRITE_SHARDS", 1, 1, kMaxShards));
-}
 
 ShardRouter::ShardRouter(std::size_t shards, std::uint64_t tenants,
                          std::uint64_t lines_per_tenant)

@@ -3,7 +3,7 @@
  * Deterministic address→shard routing for the sharded dedup service.
  *
  * The service partitions the multi-tenant address space and *all* dedup
- * metadata into DEWRITE_SHARDS fully independent shards. The unit of
+ * metadata into S fully independent shards. The unit of
  * partitioning is the global line key
  *
  *     g = tenant * linesPerTenant + addr
@@ -33,15 +33,8 @@
 
 namespace dewrite {
 
-/** Most shards a service will split into (DEWRITE_SHARDS upper bound). */
+/** Most shards a service will split into. */
 constexpr std::size_t kMaxShards = 64;
-
-/**
- * Shard count of the service: DEWRITE_SHARDS (envUint, 1..kMaxShards,
- * default 1). Read per call — the env.hh no-latch contract keeps it
- * testable with setenv.
- */
-std::size_t serviceShards();
 
 class ShardRouter
 {

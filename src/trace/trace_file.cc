@@ -6,6 +6,7 @@
 #include "trace/trace_file.hh"
 
 #include <cstring>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -83,6 +84,12 @@ TraceFileWriter::~TraceFileWriter()
 void
 TraceFileWriter::append(const MemEvent &event)
 {
+    if (event.instGap > std::numeric_limits<std::uint32_t>::max()) {
+        fatal("trace event %llu: instruction gap %llu does not fit the "
+              "format's u32 field",
+              static_cast<unsigned long long>(events_),
+              static_cast<unsigned long long>(event.instGap));
+    }
     const std::uint8_t kind = event.isWrite ? 1 : 0;
     std::fwrite(&kind, 1, 1, file_);
     writeLittle64(file_, event.addr);
@@ -144,7 +151,13 @@ TraceFileSource::next(MemEvent &event)
         delivered_ = eventCount_;
         return false;
     }
-    event.isWrite = kind != 0;
+    if (kind > 1) {
+        fatal("trace event %llu has kind %u (0 read, 1 write): corrupt "
+              "or not a DeWrite trace",
+              static_cast<unsigned long long>(delivered_),
+              static_cast<unsigned>(kind));
+    }
+    event.isWrite = kind == 1;
     event.addr = addr;
     event.instGap = gap;
     if (event.isWrite &&

@@ -39,7 +39,7 @@ class TraceFileWriter
     TraceFileWriter(const TraceFileWriter &) = delete;
     TraceFileWriter &operator=(const TraceFileWriter &) = delete;
 
-    /** Appends one event. */
+    /** Appends one event; fatal() if its instGap exceeds u32. */
     void append(const MemEvent &event);
 
     /** Records up to @p max_events events pulled from @p source. */
@@ -64,6 +64,7 @@ class TraceFileSource : public TraceSource
     TraceFileSource(const TraceFileSource &) = delete;
     TraceFileSource &operator=(const TraceFileSource &) = delete;
 
+    /** fatal() on an event kind other than 0 or 1. */
     bool next(MemEvent &event) override;
 
     /** Events the header promises. */

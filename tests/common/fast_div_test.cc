@@ -84,7 +84,7 @@ TEST(FastDivTest, MatchesHardwareDivider)
 
 TEST(FastDivTest, DivisorOneIsIdentity)
 {
-    // The service's default DEWRITE_SHARDS=1 routes every key through
+    // The service's default of one shard routes every key through
     // this degenerate divisor, so it gets its own pin: div is the
     // identity and mod is always zero, including at the extremes.
     const FastDiv fast(1);
@@ -99,7 +99,7 @@ TEST(FastDivTest, DivisorOneIsIdentity)
 
 TEST(FastDivTest, ShardCountModuli)
 {
-    // Every legal DEWRITE_SHARDS value is a FastDiv divisor on the
+    // Every legal service shard count is a FastDiv divisor on the
     // service's routing hot path; all 64 must satisfy the division
     // identity and match the hardware operators.
     Rng rng(0x5a4dc0de5ULL);

@@ -79,78 +79,6 @@ TEST(AccumulatorTest, ResetClearsAndNextSampleReseedsMinMax)
     EXPECT_DOUBLE_EQ(acc.max(), 5.0);
 }
 
-TEST(HistogramTest, BucketsAndOverflow)
-{
-    Histogram hist(4, 10.0); // [0,10) [10,20) [20,30) [30,40).
-    hist.add(0.0);
-    hist.add(9.999);
-    hist.add(10.0);
-    hist.add(39.0);
-    hist.add(40.0); // Overflow.
-    hist.add(1000.0);
-
-    EXPECT_EQ(hist.bucket(0), 2u);
-    EXPECT_EQ(hist.bucket(1), 1u);
-    EXPECT_EQ(hist.bucket(2), 0u);
-    EXPECT_EQ(hist.bucket(3), 1u);
-    EXPECT_EQ(hist.overflow(), 2u);
-    EXPECT_EQ(hist.total(), 6u);
-}
-
-TEST(HistogramTest, FractionBelow)
-{
-    Histogram hist(10, 1.0);
-    for (int i = 0; i < 10; ++i)
-        hist.add(i + 0.5);
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(5.0), 0.5);
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(10.0), 1.0);
-}
-
-TEST(HistogramTest, FractionBelowOfEmptyIsZero)
-{
-    Histogram hist(10, 1.0);
-    EXPECT_EQ(hist.fractionBelow(5.0), 0.0);
-    EXPECT_EQ(hist.fractionBelow(0.0), 0.0);
-}
-
-TEST(HistogramTest, FractionBelowBucketBoundaries)
-{
-    Histogram hist(4, 10.0);
-    hist.add(5.0);  // Bucket 0.
-    hist.add(15.0); // Bucket 1.
-
-    // A threshold inside a bucket excludes that whole bucket: only
-    // fully covered buckets count as "below".
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(9.999), 0.0);
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(10.0), 0.5);
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(19.0), 0.5);
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(20.0), 1.0);
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(1e9), 1.0);
-}
-
-TEST(HistogramTest, OverflowSamplesNeverCountAsBelow)
-{
-    Histogram hist(2, 10.0);
-    hist.add(5.0);
-    hist.add(100.0); // Overflow bucket.
-    hist.add(-1.0);  // Negative samples land in overflow too.
-    EXPECT_EQ(hist.overflow(), 2u);
-    EXPECT_EQ(hist.total(), 3u);
-    EXPECT_DOUBLE_EQ(hist.fractionBelow(1e12), 1.0 / 3.0);
-}
-
-TEST(HistogramTest, ResetClearsBucketsOverflowAndTotal)
-{
-    Histogram hist(2, 1.0);
-    hist.add(0.5);
-    hist.add(99.0);
-    hist.reset();
-    EXPECT_EQ(hist.bucket(0), 0u);
-    EXPECT_EQ(hist.bucket(1), 0u);
-    EXPECT_EQ(hist.overflow(), 0u);
-    EXPECT_EQ(hist.total(), 0u);
-}
-
 TEST(StatSetTest, SetGetHasAdd)
 {
     StatSet stats;

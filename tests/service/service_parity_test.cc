@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <vector>
 
 #include "service/dedup_service.hh"
@@ -84,6 +85,28 @@ TEST_P(ServiceParity, FingerprintsAreThreadCountInvariant)
     const unsigned threads = GetParam();
     EXPECT_EQ(serviceFingerprints(4, threads),
               serviceFingerprints(4, 1));
+}
+
+// The shape `bench_service --quick` runs, at 8 shards and 6000 events,
+// pinned per shard so a drift names the shard.
+TEST_P(ServiceParity, BenchShapeEightShardsMatchPins)
+{
+    constexpr std::uint32_t kPinned[] = {
+        549891491u,  3636316244u, 3036862546u, 260486540u,
+        1207999777u, 2319803876u, 3982752544u, 2294090850u,
+    };
+    ServiceOptions options;
+    options.shards = std::size(kPinned);
+    options.threads = GetParam();
+    options.tenants = 16;
+    options.linesPerTenant = 4096;
+    options.burstMax = 32;
+    options.roundEvents = 4096;
+    options.totalEvents = 6000;
+    const ServiceResult result = DedupService(options).run();
+    ASSERT_EQ(result.shards.size(), std::size(kPinned));
+    for (std::size_t k = 0; k < std::size(kPinned); ++k)
+        EXPECT_EQ(result.shards[k].fingerprint, kPinned[k]) << "shard " << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ServiceParity,

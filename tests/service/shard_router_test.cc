@@ -1,18 +1,14 @@
 /**
  * @file
- * ShardRouter unit tests: the partition must be a bijection, the
- * per-shard geometry must cover it, and the DEWRITE_SHARDS knob must
- * obey the fail-fast env contract.
+ * ShardRouter unit tests: the partition must be a bijection and the
+ * per-shard geometry must cover it.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 
 #include "service/shard_router.hh"
-
-#include "scoped_env.hh"
 
 namespace dewrite {
 namespace {
@@ -77,50 +73,12 @@ TEST(ShardRouter, ShardConfigSizesTheShard)
               123u);
 }
 
-TEST(ShardsKnob, DefaultsToOne)
+TEST(ShardRouterDeathTest, RejectsShardCountsOutsideTheRange)
 {
-    ::unsetenv("DEWRITE_SHARDS");
-    EXPECT_EQ(serviceShards(), 1u);
-}
-
-TEST(ShardsKnob, HonorsValidOverride)
-{
-    ScopedEnv shards("DEWRITE_SHARDS", "8");
-    EXPECT_EQ(serviceShards(), 8u);
-}
-
-TEST(ShardsKnob, HonorsTheCap)
-{
-    ScopedEnv shards("DEWRITE_SHARDS", "64");
-    EXPECT_EQ(serviceShards(), 64u);
-}
-
-TEST(ShardsKnob, RejectsMalformed)
-{
-    ScopedEnv shards("DEWRITE_SHARDS", "many");
-    EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
-                "DEWRITE_SHARDS");
-}
-
-TEST(ShardsKnob, RejectsZero)
-{
-    ScopedEnv shards("DEWRITE_SHARDS", "0");
-    EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
-                "DEWRITE_SHARDS");
-}
-
-TEST(ShardsKnob, RejectsAboveCap)
-{
-    ScopedEnv shards("DEWRITE_SHARDS", "65");
-    EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
-                "DEWRITE_SHARDS");
-}
-
-TEST(ShardsKnob, RejectsTrailingGarbage)
-{
-    ScopedEnv shards("DEWRITE_SHARDS", "8x");
-    EXPECT_EXIT(serviceShards(), testing::ExitedWithCode(1),
-                "DEWRITE_SHARDS");
+    // ServiceOptions::shards reaches the router unvalidated; zero
+    // shards cannot be divided by and more than kMaxShards is refused.
+    EXPECT_DEATH(ShardRouter(0, 1, 1), "nonzero");
+    EXPECT_DEATH(ShardRouter(kMaxShards + 1, 1, 1), "outside 1\\.\\.64");
 }
 
 } // namespace

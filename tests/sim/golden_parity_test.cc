@@ -12,12 +12,21 @@
  * fingerprint exactly, at one worker thread and at eight. Any change
  * to any user-visible counter, latency, energy number, or stat breaks
  * this test by construction.
+ *
+ * The Catalog cases widen the pin to all 20 catalog apps at the
+ * default SystemConfig: one CRC-32 per scheme over the cells' result
+ * signatures, and one per detection policy over their decision
+ * signatures, at 6000 events per cell (what the benches' --quick
+ * runs use, so `bench_ablation_detection --quick` reports the same
+ * decision fingerprints).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "controller/dewrite_controller.hh"
 #include "dedup/recovery.hh"
 #include "sim/parallel_runner.hh"
@@ -38,6 +47,90 @@ TEST(GoldenParity, MatrixEightThreads)
     // The runner partitions cells across workers; per-cell results must
     // not depend on scheduling.
     checkMatrix(8);
+}
+
+/** Events per Catalog cell; fixed, so DEWRITE_EVENTS cannot move it. */
+constexpr std::uint64_t kCatalogEvents = 6000;
+
+/** CRC-32 over @p signature of every catalog cell, in catalog order. */
+std::uint32_t
+catalogFingerprint(const SchemeOptions &scheme, const SystemConfig &config,
+                   std::string (*signature)(const ExperimentResult &))
+{
+    const auto cells =
+        runMatrix(appCatalog(), { scheme }, config, kCatalogEvents);
+    std::string signatures;
+    for (const ExperimentResult &cell : cells)
+        signatures += signature(cell);
+    return crc32(reinterpret_cast<const std::uint8_t *>(signatures.data()),
+                 signatures.size());
+}
+
+std::uint32_t
+catalogResultFingerprint(const SchemeOptions &scheme)
+{
+    return catalogFingerprint(scheme, SystemConfig(), resultSignature);
+}
+
+TEST(GoldenParity, CatalogSecureBaseline)
+{
+    EXPECT_EQ(catalogResultFingerprint(secureBaselineScheme()),
+              271930638u);
+}
+
+TEST(GoldenParity, CatalogDewriteDirect)
+{
+    EXPECT_EQ(catalogResultFingerprint(dewriteScheme(DedupMode::Direct)),
+              981420378u);
+}
+
+TEST(GoldenParity, CatalogDewriteParallel)
+{
+    EXPECT_EQ(
+        catalogResultFingerprint(dewriteScheme(DedupMode::Parallel)),
+        903438988u);
+}
+
+TEST(GoldenParity, CatalogDewritePredicted)
+{
+    EXPECT_EQ(
+        catalogResultFingerprint(dewriteScheme(DedupMode::Predicted)),
+        2461834977u);
+}
+
+// Detection policies on one core with PNA off (bench_ablation_detection
+// explains both choices): every policy resolves the same candidates to
+// the same verdicts on these collision-free traces, so all three share
+// one decision fingerprint.
+std::uint32_t
+catalogDetectionFingerprint(DetectPolicy policy)
+{
+    SchemeOptions scheme = dewriteScheme(DedupMode::Predicted);
+    scheme.dewrite.detect = policy;
+    scheme.dewrite.pnaEnabled = false;
+    SystemConfig config;
+    config.numCores = 1;
+    return catalogFingerprint(scheme, config, detectionSignature);
+}
+
+constexpr std::uint32_t kCatalogDecisions = 528123233u;
+
+TEST(GoldenParity, CatalogDetectConfirmRead)
+{
+    EXPECT_EQ(catalogDetectionFingerprint(DetectPolicy::ConfirmRead),
+              kCatalogDecisions);
+}
+
+TEST(GoldenParity, CatalogDetectWeakOnly)
+{
+    EXPECT_EQ(catalogDetectionFingerprint(DetectPolicy::WeakOnly),
+              kCatalogDecisions);
+}
+
+TEST(GoldenParity, CatalogDetectWeakStrong)
+{
+    EXPECT_EQ(catalogDetectionFingerprint(DetectPolicy::WeakStrong),
+              kCatalogDecisions);
 }
 
 // Figure 7's refcount histogram and the recovery rebuild, pinned to

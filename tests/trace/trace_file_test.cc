@@ -149,6 +149,40 @@ TEST_F(TraceFileTest, BadMagicIsFatal)
                 testing::ExitedWithCode(1), "bad magic");
 }
 
+TEST_F(TraceFileTest, UnknownEventKindIsFatal)
+{
+    {
+        TraceFileWriter writer(path_);
+        MemEvent event;
+        event.addr = 3;
+        writer.append(event);
+        writer.append(event);
+    }
+    // A read record is kind (1) + address (8) + gap (4) bytes after
+    // the 16-byte header; give the second event a kind the format
+    // does not have.
+    std::FILE *file = std::fopen(path_.c_str(), "rb+");
+    ASSERT_NE(file, nullptr);
+    std::fseek(file, 16 + 13, SEEK_SET);
+    std::fputc(2, file);
+    std::fclose(file);
+
+    TraceFileSource replay(path_);
+    MemEvent event;
+    ASSERT_TRUE(replay.next(event));
+    EXPECT_EXIT(replay.next(event), testing::ExitedWithCode(1),
+                "event 1 has kind 2");
+}
+
+TEST_F(TraceFileTest, GapBeyondU32IsFatal)
+{
+    TraceFileWriter writer(path_);
+    MemEvent event;
+    event.instGap = std::uint64_t{ 1 } << 32;
+    EXPECT_EXIT(writer.append(event), testing::ExitedWithCode(1),
+                "instruction gap 4294967296 does not fit");
+}
+
 TEST_F(TraceFileTest, MissingFileIsFatal)
 {
     EXPECT_EXIT(TraceFileSource replay("/nonexistent/nope.dwtr"),

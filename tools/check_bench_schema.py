@@ -2,8 +2,8 @@
 """Validates the uniform BENCH_*.json schema every bench binary emits.
 
 Every report written through obs::BenchReport starts with the same
-header block; figure-regression tooling keys off it, so CI fails fast
-when a bench drifts from the contract:
+header block, so a reader of any report finds the run's provenance
+first; CI fails fast when a bench drifts from the contract:
 
     {
       "bench": "<name>",          # string, matches the file name
@@ -37,10 +37,6 @@ import sys
 SCHEMA_VERSION = 2
 HEADER = ("bench", "schema_version", "events_per_cell", "threads",
           "provenance")
-
-# The per-stage host-cycle breakdown the throughput bench emits per
-# scheme (matches DedupEngine's stage gauges).
-STAGES = ("digest", "probe", "pad", "confirm_read", "commit")
 
 
 class SchemaError(Exception):
@@ -86,47 +82,6 @@ def check_provenance(path: str, report: dict) -> None:
                        "or null")
 
 
-def check_throughput_payload(path: str, report: dict) -> None:
-    """BENCH_throughput carries batching, parity, and stage fields."""
-    if not _is_uint(report.get("write_batch")) \
-            or report.get("write_batch") < 1:
-        fail(path, "'write_batch' must be a positive integer")
-
-    schemes = report.get("schemes")
-    if not isinstance(schemes, list) or not schemes:
-        fail(path, "'schemes' must be a non-empty array")
-    for entry in schemes:
-        if not isinstance(entry, dict):
-            fail(path, "'schemes' entries must be objects")
-        name = entry.get("scheme")
-        if not isinstance(name, str) or not name:
-            fail(path, "scheme entry missing 'scheme' name")
-        if not _is_uint(entry.get("result_fingerprint")):
-            fail(path, f"scheme {name!r}: 'result_fingerprint' must be "
-                       "a non-negative integer")
-        # stage_cycles is optional: schemes without stage gauges
-        # (e.g. secure-baseline, or runs without DEWRITE_STAGE_PROFILE)
-        # omit the block rather than writing all zeros.
-        stage_cycles = entry.get("stage_cycles")
-        if stage_cycles is not None:
-            if not isinstance(stage_cycles, dict):
-                fail(path, f"scheme {name!r}: 'stage_cycles' must be "
-                           "an object when present")
-            for stage in STAGES:
-                if not _is_number(stage_cycles.get(stage)) \
-                        or stage_cycles.get(stage) < 0:
-                    fail(path, f"scheme {name!r}: "
-                               f"stage_cycles[{stage!r}] must be a "
-                               "non-negative number")
-
-    ratios = report.get("ratios")
-    if not isinstance(ratios, dict):
-        fail(path, "'ratios' must be an object")
-    for name, value in ratios.items():
-        if not _is_number(value) or value < 0:
-            fail(path, f"ratios[{name!r}] must be a non-negative number")
-
-
 def check_detection_payload(path: str, report: dict) -> None:
     """BENCH_detection carries the per-policy sweep plus the decision
     parity block pinning weak-strong to confirm-read."""
@@ -163,28 +118,9 @@ def check_detection_payload(path: str, report: dict) -> None:
         fail(path, "parity 'weak_strong_matches' must be a boolean")
 
 
-def check_detection_parity(path: str) -> None:
-    """One detection report: the weak+strong policy must have recorded
-    the same decision fingerprint as confirm-read — the two-tier scheme
-    changes timing, never verdicts, on collision-free traces."""
-    report = load_file(path)
-    check_report(path, report, check_name=False)
-    if report["bench"] != "detection":
-        fail(path, "single-file --parity expects a service or "
-                   "detection report")
-    prints = {e["policy"]: e["detection_fingerprint"]
-              for e in report["policies"]}
-    if prints["weak-strong"] != prints["confirm-read"]:
-        fail(path, f"parity mismatch for 'weak-strong': "
-                   f"{prints['weak-strong']} vs confirm-read "
-                   f"{prints['confirm-read']}")
-    if not report["parity"]["weak_strong_matches"]:
-        fail(path, "report flags weak_strong_matches=false")
-
-
 def check_service_payload(path: str, report: dict) -> None:
-    """BENCH_service carries the shard-scaling sweep plus the per-shard
-    service/reference fingerprint pairs the parity mode verifies."""
+    """BENCH_service carries the shard-scaling sweep plus each shard's
+    service/reference fingerprint pair."""
     if not _is_uint(report.get("write_batch")) \
             or report.get("write_batch") < 1:
         fail(path, "'write_batch' must be a positive integer")
@@ -228,8 +164,7 @@ def check_service_payload(path: str, report: dict) -> None:
         fail(path, "'parity_ok' must be a boolean")
 
 
-def check_report(path: str, report: object,
-                 check_name: bool = True) -> None:
+def check_report(path: str, report: object) -> None:
     """Validate one parsed report; raises SchemaError on violation."""
     if not isinstance(report, dict):
         fail(path, "top level must be a JSON object")
@@ -245,7 +180,7 @@ def check_report(path: str, report: object,
     bench = report["bench"]
     if not isinstance(bench, str) or not bench:
         fail(path, "'bench' must be a non-empty string")
-    if check_name and os.path.basename(path) != f"BENCH_{bench}.json":
+    if os.path.basename(path) != f"BENCH_{bench}.json":
         fail(path, f"file name does not match bench name {bench!r}")
     if report["schema_version"] != SCHEMA_VERSION:
         fail(path, f"schema_version must be {SCHEMA_VERSION}")
@@ -258,58 +193,10 @@ def check_report(path: str, report: object,
         fail(path, "'threads' must be at least 1")
     check_provenance(path, report)
 
-    if bench == "throughput":
-        check_throughput_payload(path, report)
-    elif bench == "service":
+    if bench == "service":
         check_service_payload(path, report)
     elif bench == "detection":
         check_detection_payload(path, report)
-
-
-def check_service_parity(path: str) -> None:
-    """One service report: every shard of every configuration must have
-    recorded identical service and reference fingerprints — the sharded
-    run is bit-equivalent to N independent single-shard runs."""
-    report = load_file(path)
-    check_report(path, report, check_name=False)
-    if report["bench"] != "service":
-        fail(path, "single-file --parity expects a service or "
-                   "detection report")
-    for entry in report["configs"]:
-        for shard in entry["shards_detail"]:
-            if shard["service_fingerprint"] \
-                    != shard["reference_fingerprint"]:
-                fail(path, f"parity mismatch at shards="
-                           f"{entry['shards']} shard {shard['shard']}: "
-                           f"service {shard['service_fingerprint']} vs "
-                           f"reference {shard['reference_fingerprint']}")
-    if not report["parity_ok"]:
-        fail(path, "report flags parity_ok=false")
-
-
-def check_parity(path_a: str, path_b: str) -> None:
-    """Two throughput reports (e.g. different DEWRITE_BATCH values)
-    must carry identical per-scheme result fingerprints — the batching
-    strict-equivalence contract. Renamed copies are expected here, so
-    the file-name check is skipped."""
-    reports = []
-    for path in (path_a, path_b):
-        report = load_file(path)
-        check_report(path, report, check_name=False)
-        if report["bench"] != "throughput":
-            fail(path, "--parity expects throughput reports")
-        reports.append(report)
-
-    prints = [{e["scheme"]: e["result_fingerprint"]
-               for e in r["schemes"]} for r in reports]
-    if set(prints[0]) != set(prints[1]):
-        fail(path_b, f"scheme sets differ: {sorted(prints[0])} vs "
-                     f"{sorted(prints[1])}")
-    for scheme, fingerprint in prints[0].items():
-        if prints[1][scheme] != fingerprint:
-            fail(path_b, f"parity mismatch for {scheme!r}: "
-                         f"{fingerprint} (in {path_a}) vs "
-                         f"{prints[1][scheme]}")
 
 
 def load_file(path: str) -> object:
@@ -379,52 +266,7 @@ def self_test() -> int:
         else:
             raise AssertionError(f"accepted broken report: {expect}")
 
-    def throughput(fingerprint: int = 7, write_batch: int = 16) -> dict:
-        return {"bench": "throughput", "schema_version": SCHEMA_VERSION,
-                "events_per_cell": 6000, "threads": 1,
-                "provenance": _provenance(),
-                "write_batch": write_batch,
-                "schemes": [{"scheme": "secure-baseline",
-                             "result_fingerprint": fingerprint},
-                            {"scheme": "dewrite-direct",
-                             "result_fingerprint": fingerprint,
-                             "stage_cycles": {s: 0 for s in STAGES}}],
-                "ratios": {"dewrite-predicted": 0.85}}
-
-    # Both shapes must pass: a scheme with the stage block and one
-    # without it (secure-baseline omits stage_cycles entirely).
-    check_report("BENCH_throughput.json", throughput())
-
-    broken_throughput = [
-        ("'write_batch' must be a positive integer",
-         throughput(write_batch=0)),
-        ("'schemes' must be a non-empty array",
-         {**throughput(), "schemes": []}),
-        ("'result_fingerprint' must be",
-         {**throughput(),
-          "schemes": [{"scheme": "x", "result_fingerprint": -1,
-                       "stage_cycles": {s: 0 for s in STAGES}}]}),
-        ("'stage_cycles' must be an object when present",
-         {**throughput(),
-          "schemes": [{"scheme": "x", "result_fingerprint": 1,
-                       "stage_cycles": [0, 1]}]}),
-        ("stage_cycles['commit'] must be",
-         {**throughput(),
-          "schemes": [{"scheme": "x", "result_fingerprint": 1,
-                       "stage_cycles": {s: 0 for s in STAGES
-                                        if s != "commit"}}]}),
-        ("'ratios' must be an object",
-         {**throughput(), "ratios": [1.0]}),
-    ]
-    for expect, report in broken_throughput:
-        try:
-            check_report("BENCH_throughput.json", report)
-        except SchemaError as error:
-            assert expect in str(error), (expect, str(error))
-        else:
-            raise AssertionError(f"accepted broken report: {expect}")
-
-    def service(reference: int = 7, parity_ok: bool = True) -> dict:
+    def service() -> dict:
         return {"bench": "service", "schema_version": SCHEMA_VERSION,
                 "events_per_cell": 6000, "threads": 1,
                 "provenance": _provenance(),
@@ -436,8 +278,8 @@ def self_test() -> int:
                              "shards_detail": [
                                  {"shard": 0, "events": 6000,
                                   "service_fingerprint": 7,
-                                  "reference_fingerprint": reference}]}],
-                "parity_ok": parity_ok}
+                                  "reference_fingerprint": 7}]}],
+                "parity_ok": True}
 
     check_report("BENCH_service.json", service())
 
@@ -473,7 +315,7 @@ def self_test() -> int:
         else:
             raise AssertionError(f"accepted broken report: {expect}")
 
-    def detection(strong: int = 7, strong_flag: bool = True) -> dict:
+    def detection() -> dict:
         def policy(name: str, fingerprint: int) -> dict:
             return {"policy": name, "cells": 20, "events": 120000,
                     "wall_seconds": 0.5, "events_per_sec": 240000.0,
@@ -487,9 +329,9 @@ def self_test() -> int:
                 "provenance": _provenance(),
                 "policies": [policy("confirm-read", 7),
                              policy("weak-only", 9),
-                             policy("weak-strong", strong)],
+                             policy("weak-strong", 7)],
                 "parity": {"reference": "confirm-read",
-                           "weak_strong_matches": strong_flag,
+                           "weak_strong_matches": True,
                            "weak_only_fingerprint": 9}}
 
     check_report("BENCH_detection.json", detection())
@@ -530,77 +372,6 @@ def self_test() -> int:
         else:
             raise AssertionError(f"accepted broken report: {expect}")
 
-    # Parity comparison: identical fingerprints pass, a drifted one is
-    # named in the diagnostic.
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        def dump(name: str, report: dict) -> str:
-            path = os.path.join(tmp, name)
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(report, handle)
-            return path
-
-        a = dump("BENCH_throughput.batch1.json", throughput())
-        b = dump("BENCH_throughput.json", throughput())
-        check_parity(a, b)
-        c = dump("BENCH_throughput.drift.json", throughput(fingerprint=8))
-        try:
-            check_parity(a, c)
-        except SchemaError as error:
-            assert "parity mismatch" in str(error), str(error)
-        else:
-            raise AssertionError("accepted drifted parity fingerprints")
-
-        # Single-file service parity: matching fingerprints pass, a
-        # shard that diverged from its reference is named.
-        check_service_parity(dump("BENCH_service.json", service()))
-        try:
-            check_service_parity(
-                dump("BENCH_service.drift.json", service(reference=8)))
-        except SchemaError as error:
-            assert "parity mismatch at shards=1 shard 0" in str(error), \
-                str(error)
-        else:
-            raise AssertionError("accepted drifted service parity")
-        try:
-            check_service_parity(
-                dump("BENCH_service.flag.json", service(parity_ok=False)))
-        except SchemaError as error:
-            assert "parity_ok=false" in str(error), str(error)
-        else:
-            raise AssertionError("accepted parity_ok=false report")
-
-        # Single-file detection parity: weak-strong must match
-        # confirm-read, and the report's own flag must agree.
-        check_detection_parity(
-            dump("BENCH_detection.json", detection()))
-        try:
-            check_detection_parity(
-                dump("BENCH_detection.drift.json", detection(strong=8)))
-        except SchemaError as error:
-            assert "parity mismatch for 'weak-strong'" in str(error), \
-                str(error)
-        else:
-            raise AssertionError("accepted drifted detection parity")
-        try:
-            check_detection_parity(
-                dump("BENCH_detection.flag.json",
-                     detection(strong_flag=False)))
-        except SchemaError as error:
-            assert "weak_strong_matches=false" in str(error), str(error)
-        else:
-            raise AssertionError("accepted weak_strong_matches=false")
-        try:
-            check_detection_parity(
-                dump("BENCH_throughput.json", throughput()))
-        except SchemaError as error:
-            assert "expects a service or detection report" in str(error), \
-                str(error)
-        else:
-            raise AssertionError("accepted a throughput report in "
-                                 "single-file parity mode")
-
     print("check_bench_schema self-test: OK")
     return 0
 
@@ -619,39 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--self-test", action="store_true",
                         help="run the seeded-violation self-test and "
                              "exit")
-    parser.add_argument("--parity", nargs="+", metavar="REPORT",
-                        help="with two throughput reports, compare "
-                             "their per-scheme result fingerprints "
-                             "(the batching strict-equivalence check); "
-                             "with one service report, verify each "
-                             "shard's service fingerprint against its "
-                             "recorded independent reference; with one "
-                             "detection report, verify the weak+strong "
-                             "decision fingerprint against confirm-read")
     args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
-
-    if args.parity:
-        if len(args.parity) > 2:
-            parser.error("--parity takes one service or detection "
-                         "report, or two throughput reports")
-        try:
-            if len(args.parity) == 1:
-                report = load_file(args.parity[0])
-                if isinstance(report, dict) \
-                        and report.get("bench") == "detection":
-                    check_detection_parity(args.parity[0])
-                else:
-                    check_service_parity(args.parity[0])
-            else:
-                check_parity(args.parity[0], args.parity[1])
-        except SchemaError as error:
-            print(error, file=sys.stderr)
-            return 1
-        print("parity fingerprints match")
-        return 0
 
     paths = args.files or sorted(
         glob.glob(os.path.join(args.glob_dir, "BENCH_*.json")))

@@ -149,7 +149,6 @@ KNOWN_KNOBS = frozenset({
     "DEWRITE_BATCH",         # write-batch capacity (1..kMaxWriteBatch)
     "DEWRITE_EVENTS",        # events per experiment cell
     "DEWRITE_LOG",           # log level
-    "DEWRITE_SHARDS",        # service shard count (1..64)
     "DEWRITE_STAGE_PROFILE", # per-stage host-cycle attribution
     "DEWRITE_THREADS",       # runner / service worker threads
 })
@@ -407,8 +406,8 @@ def self_test() -> int:
         "const char *f = envRaw(\"DEWRITE_Y\");",   # fail-fast  (14)
         "// std::unordered_set<int> in a comment is fine",
         "const char *s = \"rand( in a string is fine\";",
-        "std::uint64_t n = envUint(\"DEWRITE_SHRADS\", 1, 1, 8);",
-        "std::uint64_t k = envUint(\"DEWRITE_SHARDS\", 1, 1, 64);",
+        "std::uint64_t n = envUint(\"DEWRITE_THRAEDS\", 1, 1, 8);",
+        "std::uint64_t k = envUint(\"DEWRITE_THREADS\", 1, 1, 64);",
         "assert(x > 0);",                           # raw assert (19)
         "static_assert(sizeof(int) == 4, \"x\");",  # NOT raw: ok
         "DEWRITE_CHECK(x > 0, \"x\");",             # NOT raw: ok
@@ -427,8 +426,8 @@ def self_test() -> int:
         (13, "env-knob-registry"),   # DEWRITE_X is not a real knob
         (14, "env-fail-fast"),
         (14, "env-knob-registry"),   # neither is DEWRITE_Y
-        (17, "env-knob-registry"),   # typo'd DEWRITE_SHRADS caught
-        # line 18: DEWRITE_SHARDS is registered -> silent
+        (17, "env-knob-registry"),   # typo'd DEWRITE_THRAEDS caught
+        # line 18: DEWRITE_THREADS is registered -> silent
         (19, "no-raw-assert"),
         # lines 20-21: static_assert / DEWRITE_CHECK -> silent
     }
