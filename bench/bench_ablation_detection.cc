@@ -7,14 +7,14 @@
  *
  * For each policy the sweep reports detection latency, confirmation
  * reads paid and avoided, strong-fingerprint activity, write
- * reduction, bit flips, and host events/sec. Results go to stdout and
- * to BENCH_detection.json (schema v2) with one *detection parity
- * fingerprint* per policy — a CRC-32 over the per-app decision-level
- * signatures (detectionSignature). On collision-free traces every
- * confirming policy resolves the same candidates to the same verdicts,
- * so the weak+strong fingerprint must equal the confirm-read one
- * byte-for-byte; the bench exits non-zero when it does not, or when
- * weak+strong fails to reduce confirmation reads.
+ * reduction, bit flips, and host events/sec. Each policy also gets a
+ * *detection parity fingerprint* — a CRC-32 over the per-app
+ * decision-level signatures (detectionSignature). On collision-free
+ * traces every confirming policy resolves the same candidates to the
+ * same verdicts, so the weak+strong fingerprint must equal the
+ * confirm-read one byte-for-byte. The bench exits non-zero when it
+ * does not, or when weak+strong fails to reduce confirmation reads,
+ * and prints the two fingerprints or confirm-read counts to stderr.
  *
  * Two knobs make the parity pin well-defined. PNA is disabled:
  * prediction-gated NVM queries make authoritativeness depend on
@@ -30,6 +30,7 @@
  * --quick for a 20x shorter run with the same shape.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -37,7 +38,6 @@
 
 #include "common/crc32.hh"
 #include "common/table_printer.hh"
-#include "obs/bench_report.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
 
@@ -55,10 +55,8 @@ constexpr DetectPolicy kPolicies[] = {
 struct PolicyRun
 {
     const char *name = nullptr;
-    std::size_t cells = 0;
     std::uint64_t events = 0;
     double seconds = 0.0;
-    RunnerProfile profile;
 
     std::uint64_t writes = 0;
     std::uint64_t writesEliminated = 0;
@@ -68,8 +66,6 @@ struct PolicyRun
     double confirmReads = 0.0;
     double confirmReadsAvoided = 0.0;
     double strongFpComputes = 0.0;
-    double strongFpHits = 0.0;
-    double unsafeCorruptions = 0.0;
 
     std::uint32_t fingerprint = 0; //!< CRC-32 over detection signatures.
 
@@ -111,10 +107,11 @@ runPolicy(DetectPolicy policy, const std::vector<AppProfile> &apps,
 
     PolicyRun run;
     run.name = detectPolicyName(policy);
-    const auto cells = runMatrixProfiled(apps, { scheme }, config,
-                                         run.profile, events, 0);
-    run.seconds = run.profile.wallSeconds;
-    run.cells = cells.size();
+    const auto start = std::chrono::steady_clock::now();
+    const auto cells = runMatrix(apps, { scheme }, config, events);
+    run.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
 
     std::string signatures;
     for (const ExperimentResult &cell : cells) {
@@ -132,9 +129,6 @@ runPolicy(DetectPolicy policy, const std::vector<AppProfile> &apps,
             cell, "controller.dedup.detect.confirm_reads_avoided");
         run.strongFpComputes += metricValue(
             cell, "controller.dedup.detect.strong_fp_computes");
-        run.strongFpHits += metricValue(
-            cell, "controller.dedup.detect.strong_fp_hits");
-        run.unsafeCorruptions += cell.stats.get("unsafe_corruptions");
         signatures += detectionSignature(cell);
     }
     run.fingerprint = crc32(
@@ -187,7 +181,6 @@ main(int argc, char **argv)
     // results on these (collision-free) traces; weak-only is reported
     // but not pinned — trusting the CRC is exactly what it ablates.
     const PolicyRun &confirm = runs[0];
-    const PolicyRun &weak_only = runs[1];
     const PolicyRun &strong = runs[2];
     const bool strong_parity = strong.fingerprint == confirm.fingerprint;
     // The perf claim itself: the two-tier policy must resolve some
@@ -200,57 +193,20 @@ main(int argc, char **argv)
                 strong_parity ? "ok" : "MISMATCH",
                 strong_reduces ? "ok" : "NOT");
 
-    obs::BenchReport report("detection", events, runnerThreads());
-    if (!report.opened())
-        return 1;
-    obs::JsonWriter &w = report.json();
-    w.key("policies");
-    w.beginArray();
-    for (const PolicyRun &r : runs) {
-        w.beginObject();
-        w.field("policy", r.name);
-        w.field("cells", static_cast<std::uint64_t>(r.cells));
-        w.field("events", r.events);
-        w.field("wall_seconds", r.seconds);
-        w.field("events_per_sec", r.eventsPerSec());
-        w.field("avg_detect_ns", r.avgDetectNs());
-        w.field("confirm_reads", r.confirmReads);
-        w.field("confirm_reads_avoided", r.confirmReadsAvoided);
-        w.field("strong_fp_computes", r.strongFpComputes);
-        w.field("strong_fp_hits", r.strongFpHits);
-        w.field("unsafe_corruptions", r.unsafeCorruptions);
-        w.field("write_reduction", r.writeReduction());
-        w.field("bits_programmed", r.bitsProgrammed);
-        w.field("detection_fingerprint",
-                static_cast<std::uint64_t>(r.fingerprint));
-        w.key("profile");
-        r.profile.writeJson(w);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("parity");
-    w.beginObject();
-    w.field("reference", confirm.name);
-    w.field("weak_strong_matches", strong_parity);
-    w.field("weak_only_fingerprint",
-            static_cast<std::uint64_t>(weak_only.fingerprint));
-    w.endObject();
-
-    if (!report.close()) {
-        std::fprintf(stderr, "failed writing %s\n",
-                     report.path().c_str());
-        return 1;
-    }
-    std::printf("wrote %s\n", report.path().c_str());
-
     if (!strong_parity) {
-        std::fprintf(stderr, "detection parity fingerprints diverged\n");
+        std::fprintf(stderr,
+                     "detection parity fingerprints diverged: "
+                     "confirm-read %08x, weak-strong %08x\n",
+                     confirm.fingerprint, strong.fingerprint);
         return 1;
     }
     if (!strong_reduces) {
         std::fprintf(stderr,
-                     "weak-strong failed to avoid confirmation reads\n");
+                     "weak-strong failed to avoid confirmation reads: "
+                     "confirm-read %.0f, weak-strong %.0f (%.0f "
+                     "avoided)\n",
+                     confirm.confirmReads, strong.confirmReads,
+                     strong.confirmReadsAvoided);
         return 1;
     }
     return 0;

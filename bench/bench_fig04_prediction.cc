@@ -19,7 +19,6 @@
 
 #include "common/table_printer.hh"
 #include "dedup/predictor.hh"
-#include "obs/bench_report.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
 #include "trace/trace_gen.hh"
@@ -63,17 +62,6 @@ accuracy(const std::vector<bool> &states, unsigned window)
     return predictor.accuracy();
 }
 
-/** JSON key of history window @p window ("k3"). */
-std::string
-windowKey(unsigned window)
-{
-    // Built with += only: GCC 12's -Wrestrict misfires on the
-    // temporary produced by chained operator+ concatenation.
-    std::string key = "k";
-    key += std::to_string(window);
-    return key;
-}
-
 } // namespace
 
 int
@@ -84,35 +72,21 @@ main()
     const unsigned windows[] = { 1, 3, 5, 8 };
     const std::vector<AppProfile> &apps = appCatalog();
     std::vector<std::array<double, 4>> accs(apps.size());
-    RunnerProfile profile;
-    parallelForProfiled(
-        apps.size(),
-        [&](std::size_t a) {
-            const std::vector<bool> states =
-                dupStates(apps[a], experimentEvents());
-            for (std::size_t w = 0; w < 4; ++w)
-                accs[a][w] = accuracy(states, windows[w]);
-        },
-        profile);
-
-    obs::BenchReport report("fig04_prediction", experimentEvents(),
-                            runnerThreads());
-    obs::JsonWriter &json = report.json();
-    json.key("apps");
-    json.beginArray();
+    parallelFor(apps.size(), [&](std::size_t a) {
+        const std::vector<bool> states =
+            dupStates(apps[a], experimentEvents());
+        for (std::size_t w = 0; w < 4; ++w)
+            accs[a][w] = accuracy(states, windows[w]);
+    });
 
     TablePrinter table({ "app", "k=1", "k=3", "k=5", "k=8" });
     double sums[4] = {};
     for (std::size_t a = 0; a < apps.size(); ++a) {
         std::vector<std::string> row{ apps[a].name };
-        json.beginObject();
-        json.field("app", apps[a].name);
         for (std::size_t w = 0; w < 4; ++w) {
             sums[w] += accs[a][w];
             row.push_back(TablePrinter::percent(accs[a][w]));
-            json.field(windowKey(windows[w]), accs[a][w]);
         }
-        json.endObject();
         table.addRow(std::move(row));
     }
     const double n = static_cast<double>(appCatalog().size());
@@ -122,21 +96,7 @@ main()
                    TablePrinter::percent(sums[3] / n) });
     table.print();
 
-    json.endArray();
-    json.key("mean_accuracy");
-    json.beginObject();
-    for (std::size_t w = 0; w < 4; ++w)
-        json.field(windowKey(windows[w]), sums[w] / n);
-    json.endObject();
-    json.key("profile");
-    profile.writeJson(json);
-
     std::printf("\npaper: k=1 ~92.1%%, k=3 ~93.6%%, wider windows give "
                 "negligible gains\n");
-    if (!report.close()) {
-        std::fprintf(stderr, "failed writing %s\n",
-                     report.path().c_str());
-        return 1;
-    }
     return 0;
 }

@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "common/table_printer.hh"
-#include "obs/bench_report.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
 #include "trace/workload_stats.hh"
@@ -31,22 +30,12 @@ main()
     const std::vector<AppProfile> &apps = appCatalog();
     std::vector<WorkloadStats> truths(apps.size());
     std::vector<ExperimentResult> results(apps.size());
-    RunnerProfile profile;
-    parallelForProfiled(
-        apps.size(),
-        [&](std::size_t a) {
-            SyntheticWorkload truth_trace(apps[a], appSeed(apps[a]));
-            truths[a] = measureWorkload(truth_trace, experimentEvents());
-            results[a] = runApp(apps[a], config,
-                                dewriteScheme(DedupMode::Predicted));
-        },
-        profile);
-
-    obs::BenchReport report("fig12_write_reduction", experimentEvents(),
-                            runnerThreads());
-    obs::JsonWriter &w = report.json();
-    w.key("apps");
-    w.beginArray();
+    parallelFor(apps.size(), [&](std::size_t a) {
+        SyntheticWorkload truth_trace(apps[a], appSeed(apps[a]));
+        truths[a] = measureWorkload(truth_trace, experimentEvents());
+        results[a] =
+            runApp(apps[a], config, dewriteScheme(DedupMode::Predicted));
+    });
 
     TablePrinter table({ "app", "dup truth", "eliminated", "missed",
                          "metadata wr", "net reduction" });
@@ -84,15 +73,6 @@ main()
                        TablePrinter::percent(missed),
                        TablePrinter::percent(metadata_writes),
                        TablePrinter::percent(net) });
-
-        w.beginObject();
-        w.field("app", apps[a].name);
-        w.field("dup_truth", truth.dupFraction());
-        w.field("eliminated", eliminated);
-        w.field("missed", missed);
-        w.field("metadata_writes", metadata_writes);
-        w.field("net_reduction", net);
-        w.endObject();
     }
     const double n = static_cast<double>(appCatalog().size());
     table.addRow({ "AVERAGE", TablePrinter::percent(truth_sum / n),
@@ -100,19 +80,7 @@ main()
                    TablePrinter::percent(net_sum / n) });
     table.print();
 
-    w.endArray();
-    w.field("mean_dup_truth", truth_sum / n);
-    w.field("mean_eliminated", elim_sum / n);
-    w.field("mean_net_reduction", net_sum / n);
-    w.key("profile");
-    profile.writeJson(w);
-
     std::printf("\npaper: 54%% mean reduction vs 58%% duplication; "
                 "~1.5%% missed, ~2.6%% metadata writes\n");
-    if (!report.close()) {
-        std::fprintf(stderr, "failed writing %s\n",
-                     report.path().c_str());
-        return 1;
-    }
     return 0;
 }

@@ -10,14 +10,13 @@
  * Every configuration is also parity-checked in-process: each shard's
  * result fingerprint must equal an independent single-shard System run
  * over the same trace partition (DedupService::runShardReference). A
- * parity mismatch is a correctness bug and exits non-zero; a low
- * speedup is not. Parallel speedup needs as many host cores as
- * threads, so the JSON records host_cpus alongside the measured
- * ratios.
+ * parity mismatch is a correctness bug: it prints each diverging
+ * shard's service and reference fingerprints to stderr and exits
+ * non-zero; a low speedup is not. Parallel speedup needs as many host
+ * cores as threads, so the table is followed by the host CPU count.
  *
- * Results go to BENCH_service.json, which records both fingerprints
- * of every shard. Events come from DEWRITE_EVENTS (default 120000);
- * --quick runs 20x shorter with the same shape.
+ * Events come from DEWRITE_EVENTS (default 120000); --quick runs 20x
+ * shorter with the same shape.
  */
 
 #include <cstdio>
@@ -27,10 +26,8 @@
 #include <vector>
 
 #include "common/table_printer.hh"
-#include "cpu/core_model.hh"
-#include "obs/bench_report.hh"
 #include "service/dedup_service.hh"
-#include "sim/parallel_runner.hh"
+#include "sim/experiment.hh"
 
 using namespace dewrite;
 
@@ -136,53 +133,19 @@ main(int argc, char **argv)
                 "threads)\n",
                 std::thread::hardware_concurrency());
 
-    obs::BenchReport report("service", events, runnerThreads());
-    if (!report.opened())
-        return 1;
-    obs::JsonWriter &w = report.json();
-    w.field("write_batch", static_cast<std::uint64_t>(writeBatchSize()));
-    w.field("host_cpus", static_cast<std::uint64_t>(
-                             std::thread::hardware_concurrency()));
-    w.field("tenants", std::uint64_t{ 16 });
-    w.key("configs");
-    w.beginArray();
-    for (const ConfigRow &row : rows) {
-        w.beginObject();
-        w.field("shards", static_cast<std::uint64_t>(row.shards));
-        w.field("threads", static_cast<std::uint64_t>(row.threads));
-        w.field("events", row.totalEvents);
-        w.field("wall_seconds", row.wallSeconds);
-        w.field("events_per_sec", row.eventsPerSec);
-        w.field("speedup_vs_1shard",
-                base_eps > 0 ? row.eventsPerSec / base_eps : 0.0);
-        w.key("shards_detail");
-        w.beginArray();
-        for (std::size_t k = 0; k < row.perShard.size(); ++k) {
-            const ShardRow &shard = row.perShard[k];
-            w.beginObject();
-            w.field("shard", static_cast<std::uint64_t>(k));
-            w.field("events", shard.events);
-            w.field("service_fingerprint",
-                    static_cast<std::uint64_t>(
-                        shard.serviceFingerprint));
-            w.field("reference_fingerprint",
-                    static_cast<std::uint64_t>(
-                        shard.referenceFingerprint));
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.field("parity_ok", parity_ok);
-    if (!report.close()) {
-        std::fprintf(stderr, "failed writing %s\n",
-                     report.path().c_str());
-        return 1;
-    }
-    std::printf("wrote %s\n", report.path().c_str());
-
     if (!parity_ok) {
+        for (const ConfigRow &row : rows) {
+            for (std::size_t k = 0; k < row.perShard.size(); ++k) {
+                const ShardRow &shard = row.perShard[k];
+                if (shard.serviceFingerprint == shard.referenceFingerprint)
+                    continue;
+                std::fprintf(stderr,
+                             "%zu shards: shard %zu service %08x "
+                             "reference %08x\n",
+                             row.shards, k, shard.serviceFingerprint,
+                             shard.referenceFingerprint);
+            }
+        }
         std::fprintf(stderr,
                      "PARITY MISMATCH: a shard diverged from its "
                      "independent reference run\n");

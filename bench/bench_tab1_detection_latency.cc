@@ -22,7 +22,6 @@
 #include "crypto/counter_mode.hh"
 #include "dedup/dedup_engine.hh"
 #include "nvm/nvm_device.hh"
-#include "obs/bench_report.hh"
 #include "sim/system.hh"
 
 using namespace dewrite;
@@ -123,28 +122,5 @@ main()
     std::printf("paper: DeWrite ~91 ns + tQ' (duplicate), "
                 "~15 ns + tQ' (non-duplicate)\n");
 
-    obs::BenchReport report("tab1_detection_latency",
-                            /*events_per_cell=*/0, /*threads=*/1);
-    obs::JsonWriter &w = report.json();
-    w.key("latency_ns");
-    w.beginObject();
-    w.field("md5_duplicate",
-            static_cast<double>(md5_dup.done - md5_commit.done) /
-                kNanoSecond);
-    w.field("md5_non_duplicate",
-            static_cast<double>(md5_non_dup.done - md5_dup.done) /
-                kNanoSecond);
-    w.field("crc32_duplicate",
-            static_cast<double>(dup.done - commit.done) / kNanoSecond);
-    w.field("crc32_non_duplicate",
-            static_cast<double>(non_dup.done - now) / kNanoSecond);
-    w.field("nvm_write_reference",
-            static_cast<double>(config.timing.nvmWrite) / kNanoSecond);
-    w.endObject();
-    if (!report.close()) {
-        std::fprintf(stderr, "failed writing %s\n",
-                     report.path().c_str());
-        return 1;
-    }
     return 0;
 }

@@ -1,12 +1,12 @@
 # Script-mode helper (cmake -P) that stamps the current git state into
-# a generated header, so every bench binary can write an honest
-# provenance block without shelling out at run time.
+# a generated header, so dwbench can print an honest provenance line
+# without shelling out at run time.
 #
 # Invoked at build time by the dewrite_version custom target with:
 #   -DVERSION_SRC_DIR=<repo root> -DVERSION_OUT=<path to version_info.hh>
 #
 # The header is rewritten only when its content changes, so incremental
-# builds do not recompile obs/ after every `git status` no-op. When git
+# builds do not recompile after every `git status` no-op. When git
 # (or the .git directory) is unavailable the sha degrades to "unknown"
 # and the dirty flag to true — a report that cannot prove its origin
 # must not claim a clean one.

@@ -51,9 +51,8 @@ std::uint64_t envUint(const char *name, std::uint64_t fallback,
 /**
  * Every DEWRITE_* environment knob the simulator recognizes, sorted.
  * Mirrors (and is cross-checked by dewrite-lint against) the
- * KNOWN_KNOBS catalogue in tools/dewrite_lint.py; bench provenance
- * stamps the live value of each so a BENCH_*.json is reproducible
- * from its own header.
+ * KNOWN_KNOBS catalogue in tools/dewrite_lint.py; rejectUnknownKnobs()
+ * refuses any other DEWRITE_* name.
  */
 const std::vector<const char *> &knownKnobs();
 

@@ -5,11 +5,8 @@
 
 #include "controller/dewrite_controller.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "dedup/metadata_auditor.hh"
-#include "obs/trace_ring.hh"
 
 namespace dewrite {
 
@@ -97,7 +94,6 @@ DeWriteController::write(LineAddr addr, const Line &data, Time now)
     DetectOutcome det;
     Time encrypt_ready = 0;
     bool speculative_encryption = false;
-    std::int8_t predicted_dup = -1; //!< Trace: -1 no prediction made.
 
     switch (options_.mode) {
       case DedupMode::Direct:
@@ -120,8 +116,7 @@ DeWriteController::write(LineAddr addr, const Line &data, Time now)
         break;
 
       case DedupMode::Predicted:
-        predicted_dup = predictor_.predictDuplicate() ? 1 : 0;
-        if (predicted_dup) {
+        if (predictor_.predictDuplicate()) {
             // Predicted duplicate: direct path, and the PNA scheme
             // allows the in-NVM hash-table query.
             det = engine_.detect(data, now, /*allow_nvm_fill=*/true);
@@ -154,25 +149,6 @@ DeWriteController::write(LineAddr addr, const Line &data, Time now)
     // The predictor learns the resolved state of every write no matter
     // which path scheduled it (its accuracy stat backs Figure 4).
     predictor_.recordAndScore(det.duplicate);
-
-    if (tracer_) [[unlikely]] {
-        obs::WriteEvent ev;
-        ev.issue = now;
-        ev.done = commit.done;
-        ev.addr = addr;
-        ev.hash = static_cast<std::uint32_t>(det.hash);
-        ev.path = speculative_encryption ? obs::WritePath::Parallel
-                                         : obs::WritePath::Direct;
-        ev.predictedDup = predicted_dup;
-        ev.duplicate = det.duplicate;
-        ev.authoritative = det.authoritative;
-        ev.wroteLine = commit.wroteLine;
-        ev.reencrypted = commit.reencrypted;
-        ev.home = engine_.counterHome(commit.slot);
-        ev.confirmReads = static_cast<std::uint8_t>(
-            std::min(det.confirmReads, 255u));
-        tracer_->record(ev);
-    }
 
     if (auditPerEpoch_ && ++writesSinceAudit_ >= auditEpochWrites_)
         [[unlikely]] {

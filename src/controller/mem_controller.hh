@@ -22,10 +22,6 @@
 
 namespace dewrite {
 
-namespace obs {
-class WriteTracer;
-} // namespace obs
-
 /** Outcome of a write request. */
 struct CtrlWriteResult
 {
@@ -116,14 +112,6 @@ class MemController
      */
     void fillStats(StatSet &stats) const;
 
-    /**
-     * Attaches (or detaches, with nullptr) the write-pipeline event
-     * tracer. Non-owning; the caller keeps the tracer alive across the
-     * run. Controllers record one event per serviced write when a
-     * tracer is attached.
-     */
-    void attachTracer(obs::WriteTracer *tracer) { tracer_ = tracer; }
-
     /** @{ Aggregate request accounting common to all schemes. */
     std::uint64_t writeRequests() const { return writeRequests_.value(); }
     std::uint64_t readRequests() const { return readRequests_.value(); }
@@ -164,9 +152,6 @@ class MemController
      * under nested scopes. The default registers nothing.
      */
     virtual void registerSchemeMetrics(obs::MetricRegistry &registry) const;
-
-    /** Attached event tracer, or null (the common case). */
-    obs::WriteTracer *tracer_ = nullptr;
 
     /** Subclasses record every request through these. */
     void

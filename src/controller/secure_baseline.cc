@@ -7,8 +7,6 @@
 
 #include <algorithm>
 
-#include "obs/trace_ring.hh"
-
 namespace dewrite {
 
 SecureBaselineController::SecureBaselineController(
@@ -20,7 +18,6 @@ SecureBaselineController::SecureBaselineController(
       reducer_(makeReducer(options.technique, cme_))
 {
     counters_.reserve(config.memory.numLines);
-    written_.reserve(config.memory.numLines);
     reducer_->reserveSlots(config.memory.workingSetHint());
 }
 
@@ -55,20 +52,11 @@ SecureBaselineController::write(LineAddr addr, const Line &data, Time now)
         counterCache_.access(addr, true, now);
     const Time counter_ready = now + counter_access.latency;
     const std::uint64_t counter = ++counters_.ref(addr);
-    written_.insert(addr);
 
     if (options_.shredZeroLines && data.isZero()) {
         // Shredding: a zero-line write completes in metadata only.
         zeros_.markZeroed(addr);
         const Time latency = counter_ready - now;
-        if (tracer_) [[unlikely]] {
-            obs::WriteEvent ev;
-            ev.issue = now;
-            ev.done = counter_ready;
-            ev.addr = addr;
-            ev.duplicate = true; //!< Eliminated (shredded) write.
-            tracer_->record(ev);
-        }
         noteWrite(latency, true, 0);
         return { latency, true };
     }
@@ -83,14 +71,6 @@ SecureBaselineController::write(LineAddr addr, const Line &data, Time now)
         device_.write(addr, ciphertext, ciphertext_ready, bits);
 
     const Time latency = access.complete - now;
-    if (tracer_) [[unlikely]] {
-        obs::WriteEvent ev;
-        ev.issue = now;
-        ev.done = access.complete;
-        ev.addr = addr;
-        ev.wroteLine = true;
-        tracer_->record(ev);
-    }
     noteWrite(latency, false, bits);
     return { latency, false };
 }
@@ -110,8 +90,11 @@ SecureBaselineController::readTiming(LineAddr addr, Time now)
 CtrlReadResult
 SecureBaselineController::readImpl(LineAddr addr, Time now, bool want_data)
 {
+    // Every write bumps the counter first, so a nonzero counter is
+    // the record that the line was ever written.
+    const std::uint64_t counter = counters_.get(addr);
     CtrlReadResult result;
-    result.valid = written_.contains(addr);
+    result.valid = counter != 0;
 
     const MetadataAccessResult counter_access =
         counterCache_.access(addr, false, now);
@@ -130,15 +113,12 @@ SecureBaselineController::readImpl(LineAddr addr, Time now, bool want_data)
         now + counter_access.latency + config_.timing.aesLine;
     aesEnergy_ += config_.energy.aesLine();
 
-    if (const std::uint64_t *counter =
-            want_data ? counters_.find(addr) : nullptr) {
-        if (*counter) {
-            // An unwritten slot reads as zero, so its decryption is the
-            // pad itself — same value the eager Line copy used to give.
-            const Line *ciphertext = device_.peekPtr(addr);
-            const Line &pad = padCache_.get(cme_, addr, *counter);
-            result.data = ciphertext ? (*ciphertext ^ pad) : pad;
-        }
+    if (want_data && result.valid) {
+        // An unwritten slot reads as zero, so its decryption is the
+        // pad itself — same value the eager Line copy used to give.
+        const Line *ciphertext = device_.peekPtr(addr);
+        const Line &pad = padCache_.get(cme_, addr, counter);
+        result.data = ciphertext ? (*ciphertext ^ pad) : pad;
     }
 
     result.latency = std::max(access.complete, otp_ready) +

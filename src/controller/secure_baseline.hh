@@ -71,7 +71,6 @@ class SecureBaselineController : public MemController
     ZeroLineDirectory zeros_;
 
     PagedArray<std::uint64_t> counters_;
-    DenseAddrSet written_;
     PadCache padCache_;
     Energy aesEnergy_ = 0;
 };

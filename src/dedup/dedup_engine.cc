@@ -96,19 +96,6 @@ DedupEngine::setCounterOf(LineAddr slot, LineRecord &record,
     }
 }
 
-obs::CounterHome
-DedupEngine::counterHome(LineAddr slot) const
-{
-    if (slot == kInvalidAddr)
-        return obs::CounterHome::None;
-    const LineRecord &record = lines_.at(slot);
-    if (!record.isRemapped())
-        return obs::CounterHome::Mapping;
-    if (!record.holdsData())
-        return obs::CounterHome::InvertedHash;
-    return obs::CounterHome::Overflow;
-}
-
 void
 DedupEngine::registerMetrics(obs::MetricRegistry::Scope scope) const
 {

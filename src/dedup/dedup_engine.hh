@@ -43,7 +43,6 @@
 #include "dedup/fingerprint.hh"
 #include "obs/metric_registry.hh"
 #include "obs/stage_profile.hh"
-#include "obs/trace_ring.hh"
 #include "dedup/free_space.hh"
 #include "dedup/hash_store.hh"
 #include "dedup/line_table.hh"
@@ -214,12 +213,6 @@ class DedupEngine
 
     /** Slots whose counter had to spill outside both tables. */
     std::size_t overflowCounters() const { return overflow_.size(); }
-
-    /**
-     * Where slot @p slot's encryption counter is currently embedded
-     * (Section III-C colocation) — the per-write trace records this.
-     */
-    obs::CounterHome counterHome(LineAddr slot) const;
 
     /**
      * Registers the engine's event counters and derived gauges under

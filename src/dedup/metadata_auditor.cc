@@ -29,8 +29,6 @@ auditEnabled()
 std::uint64_t
 auditEpochWrites()
 {
-    // Matches the tracer's default epoch so audit epochs line up with
-    // the epoch time series when both are on.
     return envUint("DEWRITE_AUDIT_EPOCH", 10000, 1, 1ULL << 32);
 }
 

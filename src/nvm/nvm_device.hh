@@ -141,8 +141,8 @@ class NvmDevice
 
     /**
      * Registers device metrics (traffic, energy, queueing, wear) under
-     * @p scope (canonically "device"). Metric names match the
-     * historical dumpStats keys (num_reads, num_writes, ...).
+     * @p scope (canonically "device"). Metric names keep the
+     * historical stats keys (num_reads, num_writes, ...).
      */
     void registerMetrics(obs::MetricRegistry::Scope scope) const;
 

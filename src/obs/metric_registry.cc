@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/json_writer.hh"
 
 namespace dewrite::obs {
 
@@ -121,15 +120,6 @@ MetricRegistry::fillStatSet(StatSet &out) const
         if (!entry.legacy.empty())
             out.set(entry.legacy, entry.read());
     }
-}
-
-void
-MetricRegistry::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    for (const MetricSample &sample : snapshot())
-        w.field(sample.path, sample.value);
-    w.endObject();
 }
 
 } // namespace dewrite::obs

@@ -13,7 +13,8 @@
  *
  * Two read-side views:
  *  - snapshot(): deterministic (path-sorted) list of samples, the
- *    machine-readable export every bench and the trace tools use;
+ *    simulator's one machine-readable view (every ExperimentResult
+ *    carries one, and dwbench reads it);
  *  - fillStatSet(): the legacy flat StatSet view. Entries registered
  *    with a legacy name reproduce the historical StatSet keys
  *    byte-for-byte, which keeps the golden-parity fingerprints and
@@ -34,8 +35,6 @@
 #include "common/stats.hh"
 
 namespace dewrite::obs {
-
-class JsonWriter;
 
 /** What kind of primitive a registry entry references. */
 enum class MetricKind : std::uint8_t
@@ -103,9 +102,6 @@ class MetricRegistry
 
     /** Legacy flat view: one stats.set(legacy, value) per aliased entry. */
     void fillStatSet(StatSet &out) const;
-
-    /** Writes the snapshot as one flat JSON object {path: value}. */
-    void writeJson(JsonWriter &w) const;
 
     /** Registration helper that prefixes every path with "<prefix>.". */
     class Scope

@@ -83,7 +83,7 @@ class ShardRouter
     /**
      * The SystemConfig one shard runs with: @p base resized so the
      * shard addresses exactly shardLines() lines, with the working-set
-     * hint capped by @p max_events the same way runAppImpl caps it.
+     * hint capped by @p max_events the same way runAppDetailed caps it.
      * Service shards and reference single-shard runs both size through
      * here, so their metadata geometry is byte-identical — a
      * precondition of the parity contract.

@@ -6,7 +6,6 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -18,17 +17,6 @@
 #include "obs/stage_profile.hh"
 
 namespace dewrite {
-
-namespace {
-
-DetailedExperiment runAppImpl(const AppProfile &profile,
-                              const SystemConfig &config,
-                              const SchemeOptions &scheme,
-                              std::uint64_t max_events,
-                              std::uint64_t seed,
-                              const obs::TraceConfig *trace);
-
-} // namespace
 
 std::uint64_t
 appSeed(const AppProfile &profile)
@@ -164,26 +152,6 @@ runAppDetailed(const AppProfile &profile, const SystemConfig &config,
                const SchemeOptions &scheme, std::uint64_t max_events,
                std::uint64_t seed)
 {
-    return runAppImpl(profile, config, scheme, max_events, seed,
-                      nullptr);
-}
-
-DetailedExperiment
-runAppTraced(const AppProfile &profile, const SystemConfig &config,
-             const SchemeOptions &scheme, std::uint64_t max_events,
-             std::uint64_t seed, const obs::TraceConfig &trace)
-{
-    return runAppImpl(profile, config, scheme, max_events, seed,
-                      &trace);
-}
-
-namespace {
-
-DetailedExperiment
-runAppImpl(const AppProfile &profile, const SystemConfig &config,
-           const SchemeOptions &scheme, std::uint64_t max_events,
-           std::uint64_t seed, const obs::TraceConfig *trace)
-{
     DetailedExperiment detailed;
     detailed.result.app = profile.name;
 
@@ -214,22 +182,12 @@ runAppImpl(const AppProfile &profile, const SystemConfig &config,
 
     detailed.system = std::make_unique<System>(sized, scheme);
     detailed.result.scheme = detailed.system->controller().name();
-    if (trace)
-        detailed.system->enableTracing(*trace);
-
-    const auto host_start = std::chrono::steady_clock::now();
     detailed.result.run = detailed.system->run(traces, max_events);
-    detailed.result.hostSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
 
     detailed.system->controller().fillStats(detailed.result.stats);
     detailed.result.metrics = detailed.system->registry().snapshot();
     return detailed;
 }
-
-} // namespace
 
 SchemeOptions
 plainScheme()

@@ -31,9 +31,6 @@ struct ExperimentResult
 
     /** Registry snapshot at run end (path-sorted, all components). */
     std::vector<obs::MetricSample> metrics;
-
-    /** Host wall time spent simulating the cell, seconds. */
-    double hostSeconds = 0.0;
 };
 
 /** Deterministic per-application trace seed. */
@@ -105,19 +102,6 @@ DetailedExperiment runAppDetailed(const AppProfile &profile,
                                   const SchemeOptions &scheme,
                                   std::uint64_t max_events,
                                   std::uint64_t seed);
-
-/**
- * runAppDetailed with write-pipeline tracing enabled: @p trace sizes
- * the System's event ring before the run, so the returned system's
- * tracer() holds the event tail and epoch series (export them with
- * obs::writeChromeTrace / obs::writeEpochSeries).
- */
-DetailedExperiment runAppTraced(const AppProfile &profile,
-                                const SystemConfig &config,
-                                const SchemeOptions &scheme,
-                                std::uint64_t max_events,
-                                std::uint64_t seed,
-                                const obs::TraceConfig &trace);
 
 /** @{ Canonical scheme configurations used across benches. */
 SchemeOptions plainScheme();

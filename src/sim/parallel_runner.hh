@@ -31,50 +31,11 @@
 
 namespace dewrite {
 
-namespace obs {
-class JsonWriter;
-} // namespace obs
-
 /**
  * Worker count used when none is pinned: DEWRITE_THREADS if set
  * (rejecting malformed values), else hardware concurrency, at least 1.
  */
 unsigned runnerThreads();
-
-/** Host-side timing of one fan-out cell. */
-struct CellProfile
-{
-    double queueSeconds = 0.0; //!< Submit-to-start wait in the pool.
-    double wallSeconds = 0.0;  //!< Body execution wall time.
-    int worker = -1;           //!< Pool worker that ran it (-1 = none).
-};
-
-/**
- * Where the host time of one parallel fan-out went: total wall time,
- * per-cell execution/queue-wait, and per-worker busy time. Filled by
- * parallelForProfiled / runMatrixProfiled; benches attach it to their
- * BENCH_*.json output so regressions in runner scaling are visible
- * without a profiler.
- */
-struct RunnerProfile
-{
-    unsigned threads = 1;
-    double wallSeconds = 0.0;
-    std::vector<CellProfile> cells;
-    std::vector<double> workerBusySeconds; //!< Indexed by worker.
-
-    /** Sum of all cells' execution time. */
-    double busySeconds() const;
-
-    /** busySeconds over threads * wallSeconds, in [0, 1]. */
-    double utilization() const;
-
-    /** Longest single cell's execution time. */
-    double maxCellSeconds() const;
-
-    /** Emits the profile as one JSON object on @p w. */
-    void writeJson(obs::JsonWriter &w) const;
-};
 
 /**
  * Runs body(0) .. body(count - 1) across @p threads workers (0 =
@@ -84,16 +45,6 @@ struct RunnerProfile
 void parallelFor(std::size_t count,
                  const std::function<void(std::size_t)> &body,
                  unsigned threads = 0);
-
-/**
- * parallelFor that also fills @p profile with per-cell and per-worker
- * host timing. Identical fan-out semantics and determinism contract;
- * the timing instrumentation sits outside the cell bodies, so results
- * are unaffected.
- */
-void parallelForProfiled(std::size_t count,
-                         const std::function<void(std::size_t)> &body,
-                         RunnerProfile &profile, unsigned threads = 0);
 
 /**
  * Simulates every (app, scheme) cell of the matrix in parallel with
@@ -107,13 +58,6 @@ runMatrix(const std::vector<AppProfile> &apps,
           const std::vector<SchemeOptions> &schemes,
           const SystemConfig &config, std::uint64_t max_events = 0,
           unsigned threads = 0);
-
-/** runMatrix that also fills @p profile (see RunnerProfile). */
-std::vector<ExperimentResult>
-runMatrixProfiled(const std::vector<AppProfile> &apps,
-                  const std::vector<SchemeOptions> &schemes,
-                  const SystemConfig &config, RunnerProfile &profile,
-                  std::uint64_t max_events = 0, unsigned threads = 0);
 
 } // namespace dewrite
 

@@ -60,15 +60,6 @@ System::System(const SystemConfig &config, const SchemeOptions &scheme,
     controller_->registerMetrics(registry_);
 }
 
-obs::WriteTracer &
-System::enableTracing(const obs::TraceConfig &config)
-{
-    if (!tracer_)
-        tracer_ = std::make_unique<obs::WriteTracer>(config);
-    controller_->attachTracer(tracer_.get());
-    return *tracer_;
-}
-
 System::System(const SystemConfig &config, const SchemeOptions &scheme)
     : System(config, scheme, defaultAesKey())
 {
@@ -134,34 +125,6 @@ Energy
 System::totalEnergy() const
 {
     return device_.totalEnergy() + controller_->controllerEnergy();
-}
-
-void
-System::dumpStats(std::FILE *out) const
-{
-    auto emit = [&](const char *name, double value, const char *desc) {
-        std::fprintf(out, "%-40s %20.6g  # %s\n", name, value, desc);
-    };
-
-    std::fprintf(out, "---------- Begin Simulation Statistics "
-                      "----------\n");
-    std::fprintf(out, "# scheme: %s\n", controller_->name().c_str());
-
-    // Canonical hierarchical view, registration order (components
-    // register depth-first, so related metrics stay adjacent).
-    for (const obs::MetricRegistry::Entry &entry : registry_.entries())
-        emit(entry.path.c_str(), entry.read(), entry.desc.c_str());
-
-    // Legacy flat view: the historical scheme-specific StatSet keys,
-    // kept greppable for tooling that predates the registry.
-    StatSet details;
-    controller_->fillStats(details);
-    for (const auto &[name, value] : details.all()) {
-        const std::string qualified = "controller." + name;
-        emit(qualified.c_str(), value, "scheme-specific (legacy name)");
-    }
-    std::fprintf(out, "---------- End Simulation Statistics "
-                      "----------\n");
 }
 
 } // namespace dewrite

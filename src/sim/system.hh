@@ -12,7 +12,6 @@
 #ifndef DEWRITE_SIM_SYSTEM_HH
 #define DEWRITE_SIM_SYSTEM_HH
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "crypto/aes128.hh"
 #include "nvm/nvm_device.hh"
 #include "obs/metric_registry.hh"
-#include "obs/trace_ring.hh"
 
 namespace dewrite {
 
@@ -89,27 +87,6 @@ class System
      */
     const obs::MetricRegistry &registry() const { return registry_; }
 
-    /**
-     * Allocates the write-pipeline event tracer (if not already on)
-     * and attaches it to the controller. Per-write events land in a
-     * fixed ring (see obs/trace_ring.hh); export them with
-     * obs::writeChromeTrace / obs::writeEpochSeries.
-     */
-    obs::WriteTracer &enableTracing(
-        const obs::TraceConfig &config = obs::TraceConfig());
-
-    /** The attached tracer, or nullptr when tracing is off. */
-    const obs::WriteTracer *tracer() const { return tracer_.get(); }
-
-    /**
-     * Dumps every component's statistics in a gem5-style flat text
-     * format ("name value # description"), for diffing runs and for
-     * tooling that already parses stats.txt files. Canonical registry
-     * paths come first; the legacy flat StatSet view follows under a
-     * "controller." prefix so historical key names stay greppable.
-     */
-    void dumpStats(std::FILE *out) const;
-
   private:
     /** Runs the DEWRITE_AUDIT=1 end-of-run metadata audit, if any. */
     void auditRunEnd() const;
@@ -119,7 +96,6 @@ class System
     std::unique_ptr<MemController> controller_;
     CoreModel core_;
     obs::MetricRegistry registry_;
-    std::unique_ptr<obs::WriteTracer> tracer_;
     Time now_ = 0;
 };
 

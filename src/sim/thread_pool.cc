@@ -15,20 +15,6 @@
 
 namespace dewrite {
 
-namespace {
-
-/** Worker index within the owning pool; -1 on non-pool threads. */
-// dewrite-owned: shard
-thread_local int tlsWorkerIndex = -1;
-
-} // namespace
-
-int
-ThreadPool::currentWorker()
-{
-    return tlsWorkerIndex;
-}
-
 ThreadPool::ThreadPool(unsigned threads)
 {
     const unsigned count = std::max(1u, threads);
@@ -123,7 +109,6 @@ ThreadPool::tryRun(std::size_t self)
 void
 ThreadPool::workerLoop(std::size_t self)
 {
-    tlsWorkerIndex = static_cast<int>(self);
     for (;;) {
         if (tryRun(self))
             continue;

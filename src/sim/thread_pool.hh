@@ -55,14 +55,6 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /**
-     * Worker index of the calling thread within its pool, or -1 when
-     * called off-pool (the submitting thread, tests, main). Lets
-     * profiling attribute each task to the worker that ran it without
-     * threading an index through every task signature.
-     */
-    static int currentWorker();
-
   private:
     struct WorkerQueue
     {

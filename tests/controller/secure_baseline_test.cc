@@ -152,8 +152,14 @@ TEST(SecureBaselineTest, ReadOfUnwrittenIsInvalid)
 {
     NvmDevice device(config());
     SecureBaselineController ctrl(config(), device, key());
-    const CtrlReadResult read = ctrl.read(123, 0);
-    EXPECT_FALSE(read.valid);
+    EXPECT_FALSE(ctrl.read(123, 0).valid);
+
+    // Writing a neighbour allocates the counter page that holds line
+    // 123; its zero counter must still read as never written.
+    ctrl.write(122, Line::filled(7), 0);
+    EXPECT_FALSE(ctrl.read(123, 0).valid);
+    EXPECT_FALSE(ctrl.readTiming(123, 0).valid);
+    EXPECT_TRUE(ctrl.read(122, 0).valid);
 }
 
 TEST(SecureBaselineTest, EnergyGrowsWithTraffic)

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "common/stats.hh"
-#include "obs/json_writer.hh"
 #include "obs/metric_registry.hh"
 
 namespace dewrite::obs {
@@ -102,20 +101,6 @@ TEST(MetricRegistryTest, AliasLegacyAttachesToExistingPath)
     StatSet stats;
     registry.fillStatSet(stats);
     EXPECT_EQ(stats.get("writes_eliminated"), 2.0);
-}
-
-TEST(MetricRegistryTest, WriteJsonEmitsFlatObject)
-{
-    Counter counter;
-    counter.increment(9);
-    MetricRegistry registry;
-    registry.addCounter("device.num_writes", counter, "");
-
-    std::string out;
-    JsonWriter w(&out, /*pretty=*/false);
-    registry.writeJson(w);
-    EXPECT_TRUE(w.ok());
-    EXPECT_EQ(out, R"({"device.num_writes":9})");
 }
 
 TEST(MetricRegistryTest, FindMissingPathReturnsNull)

@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end observability: the System's registry and tracer against
- * the authoritative run accounting.
+ * End-to-end observability: the System's registry against the
+ * authoritative run accounting.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/trace_export.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "trace/app_catalog.hh"
@@ -127,57 +126,35 @@ TEST(SystemRegistryTest, DetectScopeMirrorsTheEngine)
               0.0);
 }
 
-TEST(SystemTracerTest, DisabledByDefaultEnabledOnRequest)
+TEST(SystemRegistryTest, DetailedRunAgreesWithRunResult)
 {
-    const SystemConfig config = smallConfig();
-    System system(config, dewriteScheme(DedupMode::Predicted));
-    EXPECT_EQ(system.tracer(), nullptr);
-
-    obs::TraceConfig trace;
-    trace.capacity = 8;
-    obs::WriteTracer &tracer = system.enableTracing(trace);
-    EXPECT_EQ(system.tracer(), &tracer);
-
-    const Line data = Line::filled(0x33);
-    system.write(1, data);
-    system.write(2, data);
-    EXPECT_EQ(tracer.recorded(), 2u);
-    EXPECT_TRUE(tracer.event(1).duplicate);
-}
-
-TEST(SystemTracerTest, BaselineSchemeTracesToo)
-{
-    const SystemConfig config = smallConfig();
-    System system(config, secureBaselineScheme());
-    obs::WriteTracer &tracer = system.enableTracing();
-    const Line data = Line::filled(0x44);
-    system.write(1, data);
-    EXPECT_EQ(tracer.recorded(), 1u);
-    EXPECT_TRUE(tracer.event(0).wroteLine);
-}
-
-TEST(RunAppTracedTest, TracerAgreesWithRunResult)
-{
-    const SystemConfig config = smallConfig();
-    obs::TraceConfig trace;
-    trace.capacity = 1 << 12;
-    trace.epochEvents = 500;
     const AppProfile &app = appCatalog().front();
     const DetailedExperiment cell =
-        runAppTraced(app, config, dewriteScheme(DedupMode::Predicted),
-                     2000, appSeed(app), trace);
+        runAppDetailed(app, smallConfig(),
+                       dewriteScheme(DedupMode::Predicted), 2000,
+                       appSeed(app));
+    const ExperimentResult &r = cell.result;
+    const obs::MetricRegistry &registry = cell.system->registry();
 
-    const obs::WriteTracer *tracer = cell.system->tracer();
-    ASSERT_NE(tracer, nullptr);
+    // The snapshot captured into the result is the live registry.
+    EXPECT_EQ(r.metrics, registry.snapshot());
 
-    EXPECT_EQ(tracer->recorded(), cell.result.run.writes);
-    std::uint64_t duplicates = tracer->currentEpoch().duplicates;
-    for (const obs::EpochSnapshot &epoch : tracer->epochs())
-        duplicates += epoch.duplicates;
-    EXPECT_EQ(duplicates, cell.result.run.writesEliminated);
+    ASSERT_GT(r.run.writesEliminated, 0u);
+    const std::pair<const char *, std::uint64_t> expected[] = {
+        { "controller.write_requests", r.run.writes },
+        { "controller.read_requests", r.run.reads },
+        { "controller.writes_eliminated", r.run.writesEliminated },
+    };
+    for (const auto &[path, count] : expected) {
+        ASSERT_TRUE(registry.has(path)) << path;
+        EXPECT_EQ(registry.find(path)->read(), static_cast<double>(count))
+            << path;
+    }
 
-    // The snapshot captured into the result is reproducible.
-    EXPECT_EQ(cell.result.metrics, cell.system->registry().snapshot());
+    // The result's legacy stats are the registry's legacy projection.
+    StatSet from_registry;
+    registry.fillStatSet(from_registry);
+    EXPECT_EQ(r.stats.all(), from_registry.all());
 }
 
 } // namespace

@@ -75,9 +75,9 @@ TEST(ShardRouter, ShardConfigSizesTheShard)
 
 TEST(ShardRouterDeathTest, RejectsShardCountsOutsideTheRange)
 {
-    // ServiceOptions::shards reaches the router unvalidated; zero
-    // shards cannot be divided by and more than kMaxShards is refused.
-    EXPECT_DEATH(ShardRouter(0, 1, 1), "nonzero");
+    // ServiceOptions::shards reaches the router unvalidated; the range
+    // check runs before the shard count becomes a divisor.
+    EXPECT_DEATH(ShardRouter(0, 1, 1), "outside 1\\.\\.64");
     EXPECT_DEATH(ShardRouter(kMaxShards + 1, 1, 1), "outside 1\\.\\.64");
 }
 

@@ -203,73 +203,6 @@ TEST(RunMatrixTest, RepeatedRunsAreIdentical)
         expectIdentical(first[i], second[i], 8);
 }
 
-// --- profiled fan-out ------------------------------------------------
-
-TEST(ParallelForProfiledTest, RecordsEveryCellAndWorkerTime)
-{
-    for (unsigned threads : { 1u, 4u }) {
-        RunnerProfile profile;
-        std::vector<std::atomic<int>> visits(31);
-        parallelForProfiled(
-            visits.size(),
-            [&](std::size_t i) { visits[i].fetch_add(1); }, profile,
-            threads);
-
-        for (std::size_t i = 0; i < visits.size(); ++i)
-            EXPECT_EQ(visits[i].load(), 1);
-
-        EXPECT_EQ(profile.threads, threads);
-        ASSERT_EQ(profile.cells.size(), visits.size());
-        ASSERT_EQ(profile.workerBusySeconds.size(), threads);
-        double worker_total = 0.0;
-        for (double busy : profile.workerBusySeconds)
-            worker_total += busy;
-        for (const CellProfile &cell : profile.cells) {
-            EXPECT_GE(cell.wallSeconds, 0.0);
-            EXPECT_GE(cell.queueSeconds, 0.0);
-            EXPECT_GE(cell.worker, 0);
-            EXPECT_LT(cell.worker, static_cast<int>(threads));
-        }
-        EXPECT_NEAR(worker_total, profile.busySeconds(), 1e-9);
-        EXPECT_GE(profile.wallSeconds, 0.0);
-        EXPECT_LE(profile.utilization(), 1.0);
-        EXPECT_GE(profile.maxCellSeconds(), 0.0);
-    }
-}
-
-TEST(ParallelForProfiledTest, ZeroCountLeavesEmptyProfile)
-{
-    RunnerProfile profile;
-    profile.cells.resize(3); // Stale state must be cleared.
-    parallelForProfiled(0, [](std::size_t) {}, profile, 4);
-    EXPECT_TRUE(profile.cells.empty());
-    EXPECT_EQ(profile.busySeconds(), 0.0);
-    EXPECT_EQ(profile.utilization(), 0.0);
-}
-
-TEST(RunMatrixProfiledTest, ResultsMatchUnprofiledRun)
-{
-    SystemConfig config;
-    config.memory.numLines = 1 << 18;
-    const std::vector<AppProfile> &catalog = appCatalog();
-    const std::vector<AppProfile> apps(catalog.begin(),
-                                       catalog.begin() + 2);
-    const std::vector<SchemeOptions> schemes = {
-        dewriteScheme(DedupMode::Predicted)
-    };
-
-    const auto plain = runMatrix(apps, schemes, config, 3000, 4);
-    RunnerProfile profile;
-    const auto profiled =
-        runMatrixProfiled(apps, schemes, config, profile, 3000, 4);
-    ASSERT_EQ(plain.size(), profiled.size());
-    for (std::size_t i = 0; i < plain.size(); ++i)
-        expectIdentical(plain[i], profiled[i], 4);
-    EXPECT_EQ(profile.cells.size(), plain.size());
-    for (const ExperimentResult &cell : profiled)
-        EXPECT_GT(cell.hostSeconds, 0.0);
-}
-
 // --- DEWRITE_THREADS parsing -----------------------------------------
 
 TEST(RunnerThreadsTest, DefaultsToAtLeastOne)

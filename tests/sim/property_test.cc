@@ -9,6 +9,7 @@
 #include <ostream>
 #include <unordered_map>
 
+#include "common/hash_latency.hh"
 #include "common/rng.hh"
 #include "controller/dewrite_controller.hh"
 #include "sim/system.hh"
@@ -24,13 +25,20 @@ smallConfig()
     return config;
 }
 
-/** Random mixed workload against a reference map, any scheme. */
+/**
+ * Random mixed workload against a reference map, any scheme. The
+ * fields after the seed default to the schemes' own defaults.
+ */
 struct PropertyCase
 {
     SchemeKind kind;
     DedupMode mode;       //!< Only for DeWrite.
     BitTechnique technique;
     std::uint64_t seed;
+    DetectPolicy detect = DetectPolicy::ConfirmRead; //!< DeWrite only.
+    bool pna = true;                                 //!< DeWrite only.
+    HashFunction hash = HashFunction::Crc32;         //!< DeWrite only.
+    bool shredder = false; //!< Secure baseline only.
 };
 
 class RoundTripProperty : public ::testing::TestWithParam<PropertyCase>
@@ -44,9 +52,15 @@ TEST_P(RoundTripProperty, EveryReadReturnsLastWrite)
     scheme.kind = param.kind;
     scheme.dewrite.mode = param.mode;
     scheme.dewrite.technique = param.technique;
+    scheme.dewrite.detect = param.detect;
+    scheme.dewrite.pnaEnabled = param.pna;
+    scheme.dewrite.hashFunction = param.hash;
     scheme.baseline.technique = param.technique;
+    scheme.baseline.shredZeroLines = param.shredder;
 
-    System system(smallConfig(), scheme);
+    SystemConfig config = smallConfig();
+    config.memory.hashDigestBits = hashSpec(param.hash).digestBits;
+    System system(config, scheme);
     Rng rng(param.seed);
     std::unordered_map<LineAddr, Line> reference;
     std::vector<Line> pool;
@@ -106,15 +120,35 @@ roundTripCases()
         cases.push_back({ SchemeKind::SecureBaseline,
                           DedupMode::Predicted, BitTechnique::Fnw,
                           seed });
+
+        // Compositions of the predicted mode with one non-default
+        // option each, and the baseline with Silent Shredder.
+        PropertyCase predicted{ SchemeKind::DeWrite, DedupMode::Predicted,
+                                BitTechnique::None, seed };
+        PropertyCase weak_strong = predicted;
+        weak_strong.detect = DetectPolicy::WeakStrong;
+        PropertyCase no_pna = predicted;
+        no_pna.pna = false;
+        PropertyCase md5 = predicted;
+        md5.hash = HashFunction::Md5;
+        PropertyCase secret = predicted;
+        secret.technique = BitTechnique::Secret;
+        PropertyCase shredder{ SchemeKind::SecureBaseline,
+                               DedupMode::Predicted, BitTechnique::None,
+                               seed };
+        shredder.shredder = true;
+        cases.insert(cases.end(),
+                     { weak_strong, no_pna, md5, secret, shredder });
     }
     return cases;
 }
 
 /**
  * Prints a case as its kind, mode, technique and seed, e.g.
- * "DeWrite_predicted_DEUCE_seed2", which also names the test. gtest's
- * default printer would dump the struct's bytes, uninitialized padding
- * included.
+ * "DeWrite_predicted_DEUCE_seed2", then one suffix per non-default
+ * option ("_weakstrong", "_noPNA", "_MD5", "_shredder"). This also
+ * names the test. gtest's default printer would dump the struct's
+ * bytes, uninitialized padding included.
  */
 void
 PrintTo(const PropertyCase &c, std::ostream *os)
@@ -132,6 +166,17 @@ PrintTo(const PropertyCase &c, std::ostream *os)
     }
     *os << '_' << dedupModeName(c.mode) << '_'
         << bitTechniqueName(c.technique) << "_seed" << c.seed;
+    // gtest names allow only letters, digits and '_', so the suffixes
+    // are spelled out rather than taken from the hyphenated names.
+    if (c.detect != DetectPolicy::ConfirmRead)
+        *os << (c.detect == DetectPolicy::WeakStrong ? "_weakstrong"
+                                                     : "_weakonly");
+    if (!c.pna)
+        *os << "_noPNA";
+    if (c.hash != HashFunction::Crc32)
+        *os << (c.hash == HashFunction::Md5 ? "_MD5" : "_SHA1");
+    if (c.shredder)
+        *os << "_shredder";
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, RoundTripProperty,

@@ -99,35 +99,6 @@ TEST(SystemTest, ExperimentEventsEnvOverride)
     EXPECT_EQ(experimentEvents(), 120000u);
 }
 
-TEST(SystemTest, StatsDumpCoversComponents)
-{
-    System system(smallConfig(), dewriteScheme(DedupMode::Predicted));
-    Rng rng(132);
-    const Line data = Line::random(rng);
-    system.write(1, data);
-    system.write(2, data);
-    system.read(1);
-
-    std::FILE *tmp = std::tmpfile();
-    ASSERT_NE(tmp, nullptr);
-    system.dumpStats(tmp);
-    std::rewind(tmp);
-
-    std::string dump;
-    char buf[512];
-    while (std::fgets(buf, sizeof(buf), tmp))
-        dump += buf;
-    std::fclose(tmp);
-
-    EXPECT_NE(dump.find("scheme: dewrite-predicted"), std::string::npos);
-    EXPECT_NE(dump.find("device.num_writes"), std::string::npos);
-    EXPECT_NE(dump.find("controller.writes_eliminated"),
-              std::string::npos);
-    EXPECT_NE(dump.find("controller.prediction_accuracy"),
-              std::string::npos);
-    EXPECT_NE(dump.find("End Simulation Statistics"), std::string::npos);
-}
-
 TEST(SystemTest, AppSeedIsStablePerApp)
 {
     EXPECT_EQ(appSeed(appByName("lbm")), appSeed(appByName("lbm")));

@@ -153,9 +153,9 @@ KNOWN_KNOBS = frozenset({
     "DEWRITE_THREADS",       # runner / service worker threads
 })
 
-# src/common/env.cc mirrors the catalogue as knownKnobs() so bench
-# provenance can stamp every knob's live value; the two lists must
-# stay in lockstep (checked whenever env.cc is linted).
+# src/common/env.cc mirrors the catalogue as knownKnobs() so
+# rejectUnknownKnobs() can refuse any other DEWRITE_* name; the two
+# lists must stay in lockstep (checked whenever env.cc is linted).
 KNOB_MIRROR_FILE = "src/common/env.cc"
 # A name needs at least one character past the prefix: the bare
 # "DEWRITE_" literal is the prefix rejectUnknownKnobs() scans for.
