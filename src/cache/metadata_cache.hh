@@ -105,9 +105,6 @@ class MetadataCache
     /** Dirty-eviction writebacks of one partition. */
     std::uint64_t dirtyEvictions(MetadataTable table) const;
 
-    /** Total NVM line reads issued for metadata fills. */
-    std::uint64_t nvmFillReads() const { return fillReads_.value(); }
-
     /** Total NVM line writes issued for metadata writebacks. */
     std::uint64_t nvmWritebacks() const { return writebacks_.value(); }
 

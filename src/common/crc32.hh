@@ -8,7 +8,7 @@
  * of the candidate line.
  *
  * Host-side implementation notes (simulation throughput only — the
- * modelled hardware latency is a TimingConfig constant):
+ * modelled hardware latency is the hash catalog's, hash_latency.hh):
  *
  *  - crc32() is the paper's fingerprint and must stay bit-identical on
  *    every machine. It runs a portable slice-by-8 kernel, upgraded at

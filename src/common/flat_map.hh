@@ -292,38 +292,6 @@ class FlatMap
     Hasher hasher_{};
 };
 
-/** Membership-only companion of FlatMap (same probing and guarantees). */
-template <typename K, typename Hasher = FlatHash<K>>
-class FlatSet
-{
-  public:
-    FlatSet() = default;
-    explicit FlatSet(std::size_t expected) : map_(expected) {}
-
-    std::size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-    // dewrite-analyze: allow(hot-path-purity) construction-time pre-sizing;
-    // the hot edge is a member-name over-approximation
-    void reserve(std::size_t expected) { map_.reserve(expected); }
-    bool contains(const K &key) const { return map_.contains(key); }
-    bool insert(const K &key) { return map_.tryEmplace(key).second; }
-    bool erase(const K &key) { return map_.erase(key); }
-    void clear() { map_.clear(); }
-
-    template <typename Visitor>
-    void
-    forEachSorted(Visitor &&visit) const
-    {
-        map_.forEachSorted([&](const K &key, const Empty &) { visit(key); });
-    }
-
-  private:
-    struct Empty
-    {
-    };
-    FlatMap<K, Empty, Hasher> map_;
-};
-
 } // namespace dewrite
 
 #endif // DEWRITE_COMMON_FLAT_MAP_HH

@@ -113,30 +113,12 @@ class MemController
     void fillStats(StatSet &stats) const;
 
     /** @{ Aggregate request accounting common to all schemes. */
-    std::uint64_t writeRequests() const { return writeRequests_.value(); }
-    std::uint64_t readRequests() const { return readRequests_.value(); }
     std::uint64_t writesEliminated() const
     {
         return writesEliminated_.value();
     }
     double avgWriteLatency() const { return writeLatency_.mean(); }
     double avgReadLatency() const { return readLatency_.mean(); }
-
-    /**
-     * @{ Full latency distributions, bucketed at noteWrite/noteRead —
-     * the base class records them, so every scheme (secure baseline
-     * included) exposes the same "controller.{write,read}_latency.*"
-     * quantile paths and registry snapshots stay scheme-comparable.
-     */
-    const obs::LatencyHistogram &writeLatencyHist() const
-    {
-        return writeLatencyHist_;
-    }
-    const obs::LatencyHistogram &readLatencyHist() const
-    {
-        return readLatencyHist_;
-    }
-    /** @} */
 
     /** Cell bits programmed by data writes (Figure 13 numerator). */
     std::uint64_t dataBitsProgrammed() const
@@ -180,6 +162,9 @@ class MemController
     Counter dataBitsProgrammed_;
     Accumulator writeLatency_;
     Accumulator readLatency_;
+    /** Full latency distributions, recorded here for every scheme so
+     * each exports the same "controller.{write,read}_latency.*"
+     * quantile paths and registry snapshots stay scheme-comparable. */
     obs::LatencyHistogram writeLatencyHist_;
     obs::LatencyHistogram readLatencyHist_;
 };

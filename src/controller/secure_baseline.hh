@@ -51,9 +51,6 @@ class SecureBaselineController : public MemController
     std::string name() const override;
     Energy controllerEnergy() const override;
 
-    double counterCacheHitRate() const { return counterCache_.hitRate(); }
-    const ZeroLineDirectory &zeroDirectory() const { return zeros_; }
-
   protected:
     void registerSchemeMetrics(obs::MetricRegistry &registry)
         const override;

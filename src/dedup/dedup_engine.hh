@@ -221,9 +221,6 @@ class DedupEngine
      */
     void registerMetrics(obs::MetricRegistry::Scope scope) const;
 
-    /** The fingerprint function in use. */
-    const Fingerprinter &fingerprinter() const { return fingerprinter_; }
-
     /** Functional encryption counter of slot @p slot (tests). */
     std::uint64_t counterOf(LineAddr slot) const;
 

@@ -106,7 +106,6 @@ class LatencyHistogram
     std::uint64_t percentile(double q) const;
 
     std::uint64_t p50() const { return percentile(0.50); }
-    std::uint64_t p90() const { return percentile(0.90); }
     std::uint64_t p99() const { return percentile(0.99); }
     std::uint64_t p999() const { return percentile(0.999); }
 

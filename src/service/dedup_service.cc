@@ -10,8 +10,6 @@
 #include <string>
 
 #include "common/check.hh"
-#include "controller/dewrite_controller.hh"
-#include "dedup/metadata_auditor.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
 
@@ -147,28 +145,9 @@ DedupService::finalizeShard(std::size_t shard_index)
     Shard &shard = shards_[shard_index];
     ShardOutcome outcome;
     outcome.events = shard.events;
-
-    RunResult run = shard.core->finish();
-    run.totalEnergy = shard.system->totalEnergy();
-    run.nvmLineWrites = shard.system->device().numWrites();
-    run.nvmLineReads = shard.system->device().numReads();
-    run.bitsProgrammed = shard.system->controller().dataBitsProgrammed();
-
-    // The same end-of-run closure System::run performs: under
-    // DEWRITE_AUDIT=1 every shard's metadata gets a full consistency
-    // walk, independently of its siblings.
-    if (auditEnabled()) {
-        if (const auto *dewrite = dynamic_cast<const DeWriteController *>(
-                &shard.system->controller())) {
-            dewrite->auditNow("run-end");
-        }
-    }
-
-    outcome.cell.app = "shard" + std::to_string(shard_index);
-    outcome.cell.scheme = shard.system->controller().name();
-    outcome.cell.run = run;
-    shard.system->controller().fillStats(outcome.cell.stats);
-    outcome.cell.metrics = shard.system->registry().snapshot();
+    outcome.cell =
+        makeResult("shard" + std::to_string(shard_index), *shard.system,
+                   shard.system->finishRun(shard.core->finish()));
     outcome.fingerprint = resultFingerprint(outcome.cell);
     return outcome;
 }
@@ -271,14 +250,8 @@ DedupService::runShardReference(const ServiceOptions &options,
     ShardPartitionTrace trace(tenants, opts.burstMax, router, shard);
     System system(router.shardConfig(opts.base, opts.totalEvents),
                   opts.scheme);
-
-    ExperimentResult cell;
-    cell.app = "shard" + std::to_string(shard);
-    cell.scheme = system.controller().name();
-    cell.run = system.run(trace, events);
-    system.controller().fillStats(cell.stats);
-    cell.metrics = system.registry().snapshot();
-    return cell;
+    const RunResult run = system.run(trace, events);
+    return makeResult("shard" + std::to_string(shard), system, run);
 }
 
 } // namespace dewrite

@@ -83,20 +83,7 @@ class DedupService
     std::uint64_t totalEvents() const { return totalEvents_; }
     unsigned threads() const { return pool_.threadCount(); }
     const ShardRouter &router() const { return router_; }
-    const std::vector<TenantSpec> &tenantSpecs() const
-    {
-        return tenants_;
-    }
     /** @} */
-
-    const System &shardSystem(std::size_t shard) const
-    {
-        return *shards_[shard].system;
-    }
-    const ShardCore &shardCore(std::size_t shard) const
-    {
-        return *shards_[shard].core;
-    }
 
     /**
      * Merged metric view: every shard's registry snapshot under a

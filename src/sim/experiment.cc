@@ -9,6 +9,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "common/crc32.hh"
 #include "common/env.hh"
@@ -17,6 +18,18 @@
 #include "obs/stage_profile.hh"
 
 namespace dewrite {
+
+ExperimentResult
+makeResult(std::string app, const System &system, const RunResult &run)
+{
+    ExperimentResult cell;
+    cell.app = std::move(app);
+    cell.scheme = system.controller().name();
+    cell.run = run;
+    system.controller().fillStats(cell.stats);
+    cell.metrics = system.registry().snapshot();
+    return cell;
+}
 
 std::uint64_t
 appSeed(const AppProfile &profile)
@@ -153,7 +166,6 @@ runAppDetailed(const AppProfile &profile, const SystemConfig &config,
                std::uint64_t seed)
 {
     DetailedExperiment detailed;
-    detailed.result.app = profile.name;
 
     // One workload instance per core (a multi-programmed run of the
     // application), sharing the program-phase state and split across
@@ -181,11 +193,8 @@ runAppDetailed(const AppProfile &profile, const SystemConfig &config,
     }
 
     detailed.system = std::make_unique<System>(sized, scheme);
-    detailed.result.scheme = detailed.system->controller().name();
-    detailed.result.run = detailed.system->run(traces, max_events);
-
-    detailed.system->controller().fillStats(detailed.result.stats);
-    detailed.result.metrics = detailed.system->registry().snapshot();
+    const RunResult run = detailed.system->run(traces, max_events);
+    detailed.result = makeResult(profile.name, *detailed.system, run);
     return detailed;
 }
 

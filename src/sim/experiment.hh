@@ -33,6 +33,13 @@ struct ExperimentResult
     std::vector<obs::MetricSample> metrics;
 };
 
+/**
+ * The cell of @p system's finished @p run, named @p app: the scheme's
+ * name, the legacy stats and the registry snapshot.
+ */
+ExperimentResult makeResult(std::string app, const System &system,
+                            const RunResult &run);
+
 /** Deterministic per-application trace seed. */
 std::uint64_t appSeed(const AppProfile &profile);
 

@@ -69,13 +69,7 @@ System::System(const SystemConfig &config, const SchemeOptions &scheme)
 RunResult
 System::run(TraceSource &trace, std::uint64_t max_events)
 {
-    RunResult result = core_.run(trace, *controller_, max_events);
-    result.totalEnergy = totalEnergy();
-    result.nvmLineWrites = device_.numWrites();
-    result.nvmLineReads = device_.numReads();
-    result.bitsProgrammed = controller_->dataBitsProgrammed();
-    auditRunEnd();
-    return result;
+    return finishRun(core_.run(trace, *controller_, max_events));
 }
 
 // dewrite-analyze: root(determinism)
@@ -83,26 +77,23 @@ RunResult
 System::run(const std::vector<TraceSource *> &traces,
             std::uint64_t max_events)
 {
-    RunResult result = core_.runMulti(traces, *controller_, max_events);
-    result.totalEnergy = totalEnergy();
-    result.nvmLineWrites = device_.numWrites();
-    result.nvmLineReads = device_.numReads();
-    result.bitsProgrammed = controller_->dataBitsProgrammed();
-    auditRunEnd();
-    return result;
+    return finishRun(core_.runMulti(traces, *controller_, max_events));
 }
 
-void
-System::auditRunEnd() const
+RunResult
+System::finishRun(RunResult run) const
 {
+    run.totalEnergy = totalEnergy();
+    run.nvmLineWrites = device_.numWrites();
+    run.nvmLineReads = device_.numReads();
+    run.bitsProgrammed = controller_->dataBitsProgrammed();
     // The epoch hook only fires on whole audit epochs; this closes the
     // partial tail so every run ends with a full consistency walk.
-    if (!auditEnabled())
-        return;
-    if (const auto *dewrite =
-            dynamic_cast<const DeWriteController *>(controller_.get())) {
+    const auto *dewrite =
+        dynamic_cast<const DeWriteController *>(controller_.get());
+    if (auditEnabled() && dewrite)
         dewrite->auditNow("run-end");
-    }
+    return run;
 }
 
 CtrlWriteResult

@@ -62,6 +62,13 @@ class System
     RunResult run(const std::vector<TraceSource *> &traces,
                   std::uint64_t max_events);
 
+    /**
+     * Completes a core's @p run with the memory-side totals (energy,
+     * NVM line counts, bits programmed) and, under DEWRITE_AUDIT=1,
+     * closes it with a full metadata audit.
+     */
+    RunResult finishRun(RunResult run) const;
+
     /** @{ Direct substrate API (absolute simulated time advances). */
     CtrlWriteResult write(LineAddr addr, const Line &data);
     CtrlReadResult read(LineAddr addr);
@@ -88,9 +95,6 @@ class System
     const obs::MetricRegistry &registry() const { return registry_; }
 
   private:
-    /** Runs the DEWRITE_AUDIT=1 end-of-run metadata audit, if any. */
-    void auditRunEnd() const;
-
     SystemConfig config_;
     NvmDevice device_;
     std::unique_ptr<MemController> controller_;

@@ -31,7 +31,8 @@ WorkloadStats::statePersistence() const
 }
 
 WorkloadStats
-measureWorkload(TraceSource &trace, std::uint64_t max_events)
+measureWorkload(TraceSource &trace, std::uint64_t max_events,
+                const WriteVisitor &on_write)
 {
     WorkloadStats stats;
 
@@ -49,6 +50,8 @@ measureWorkload(TraceSource &trace, std::uint64_t max_events)
         }
 
         const bool dup = live.contains(event.data);
+        if (on_write)
+            on_write(event, dup);
         if (stats.writes > 0 && dup == prev_dup)
             ++stats.sameStateAsPrev;
         prev_dup = dup;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Offline workload content analysis (Figure 2's measurement).
+ * Offline workload content analysis (the ground truth of Figures 2, 4,
+ * 6 and 12).
  *
  * Replays a trace against a reference memory image and classifies each
  * write-back as duplicate (its content already lives somewhere in
@@ -13,6 +14,7 @@
 #define DEWRITE_TRACE_WORKLOAD_STATS_HH
 
 #include <cstdint>
+#include <functional>
 
 #include "trace/trace.hh"
 
@@ -33,8 +35,15 @@ struct WorkloadStats
     double statePersistence() const;
 };
 
-/** Replays up to @p max_events events of @p trace. */
-WorkloadStats measureWorkload(TraceSource &trace, std::uint64_t max_events);
+/** Receives each write, in stream order, with its duplicate verdict. */
+using WriteVisitor = std::function<void(const MemEvent &, bool duplicate)>;
+
+/**
+ * Replays up to @p max_events events of @p trace, handing every write
+ * and the verdict the counts use to @p on_write, if one is given.
+ */
+WorkloadStats measureWorkload(TraceSource &trace, std::uint64_t max_events,
+                              const WriteVisitor &on_write = {});
 
 } // namespace dewrite
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * FlatMap / FlatSet unit and property tests.
+ * FlatMap unit and property tests.
  *
  * Beyond the basics, the suite targets exactly the failure modes of
  * open addressing with backward-shift deletion: erasing in the middle
@@ -263,29 +263,6 @@ TEST(FlatMap, PropertyAgainstUnorderedMapOracle)
         EXPECT_EQ(value, it->second);
     });
     EXPECT_EQ(visited, oracle.size());
-}
-
-TEST(FlatSet, InsertContainsErase)
-{
-    FlatSet<std::uint64_t> set;
-    EXPECT_TRUE(set.insert(9));
-    EXPECT_FALSE(set.insert(9));
-    EXPECT_TRUE(set.contains(9));
-    EXPECT_EQ(set.size(), 1u);
-    EXPECT_TRUE(set.erase(9));
-    EXPECT_FALSE(set.erase(9));
-    EXPECT_TRUE(set.empty());
-}
-
-TEST(FlatSet, SortedIteration)
-{
-    FlatSet<std::uint64_t> set;
-    for (std::uint64_t key : { 42ul, 7ul, 19ul })
-        set.insert(key);
-    std::vector<std::uint64_t> keys;
-    set.forEachSorted([&](std::uint64_t key) { keys.push_back(key); });
-    const std::vector<std::uint64_t> expect = { 7, 19, 42 };
-    EXPECT_EQ(keys, expect);
 }
 
 } // namespace

@@ -18,7 +18,6 @@ TEST(TimingConfigTest, PaperDefaults)
     EXPECT_EQ(timing.nvmRead, 75u * kNanoSecond);
     EXPECT_EQ(timing.nvmWrite, 300u * kNanoSecond);
     EXPECT_EQ(timing.aesLine, 96u * kNanoSecond);
-    EXPECT_EQ(timing.crc32Line, 15u * kNanoSecond);
     EXPECT_EQ(timing.cyclePeriod, 500u); // 2 GHz.
 }
 

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "common/crc32.hh"
+#include "common/hash_latency.hh"
 #include "common/rng.hh"
 #include "nvm/nvm_device.hh"
 #include "sim/system.hh"
@@ -316,7 +317,8 @@ TEST_F(DedupEngineTest, DetectLatencyReflectsAsymmetricCost)
     const DetectOutcome dup = engine_.detect(data, now_, true);
     ASSERT_TRUE(dup.duplicate);
     EXPECT_GE(dup.done - now_,
-              config().timing.crc32Line + config().timing.nvmRead);
+              hashSpec(HashFunction::Crc32).latency +
+                  config().timing.nvmRead);
 
     Line unseen;
     unseen.setWord64(0, rng.next64());

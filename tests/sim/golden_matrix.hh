@@ -8,7 +8,7 @@
  * at every DEWRITE_BATCH setting. The constants were generated by
  * running this exact matrix against the pre-migration library
  * (node-based std::unordered_map / std::unordered_set everywhere) and
- * fingerprinting every cell with cellFingerprint().
+ * fingerprinting every cell with resultFingerprint().
  */
 
 #ifndef DEWRITE_TESTS_SIM_GOLDEN_MATRIX_HH
@@ -20,8 +20,6 @@
 
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
-
-#include "golden_fingerprint.hh"
 
 namespace dewrite {
 
@@ -88,10 +86,10 @@ checkMatrix(unsigned threads)
                   threads);
     ASSERT_EQ(cells.size(), std::size(kGoldenMatrix));
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        EXPECT_EQ(cellFingerprint(cells[i]), kGoldenMatrix[i])
+        EXPECT_EQ(resultFingerprint(cells[i]), kGoldenMatrix[i])
             << "cell " << i << " (" << cells[i].app << "/"
             << cells[i].scheme << ") diverged from the seed;"
-            << " signature: " << cellSignature(cells[i]);
+            << " signature: " << resultSignature(cells[i]);
     }
 }
 

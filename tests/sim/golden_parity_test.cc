@@ -6,7 +6,7 @@
  * The constants below were generated by running this exact matrix
  * against the pre-migration library (node-based std::unordered_map /
  * std::unordered_set everywhere) and fingerprinting every cell with
- * cellFingerprint(). The migrated implementation — FlatMap,
+ * resultFingerprint(). The migrated implementation — FlatMap,
  * PagedArray, DenseLineStore, the small-buffer HashStore chains, the
  * batched AES pad and the memoized Zipf sampler — must reproduce every
  * fingerprint exactly, at one worker thread and at eight. Any change
@@ -198,8 +198,8 @@ TEST(GoldenParity, RerunStability)
     const ExperimentResult b =
         runApp(catalog[0], config, dewriteScheme(DedupMode::Direct), 4000,
                appSeed(catalog[0]));
-    EXPECT_EQ(cellFingerprint(a), cellFingerprint(b));
-    EXPECT_EQ(cellSignature(a), cellSignature(b));
+    EXPECT_EQ(resultFingerprint(a), resultFingerprint(b));
+    EXPECT_EQ(resultSignature(a), resultSignature(b));
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace dewrite {
@@ -120,6 +121,42 @@ TEST(WorkloadStatsTest, StatePersistenceOverWrites)
     const WorkloadStats stats = measureWorkload(trace, 100);
     EXPECT_EQ(stats.sameStateAsPrev, 1u);
     EXPECT_DOUBLE_EQ(stats.statePersistence(), 1.0 / 3.0);
+}
+
+TEST(WorkloadStatsTest, VisitorSeesEachWriteWithItsVerdict)
+{
+    const Line a = Line::filled(1);
+    const Line b = Line::filled(2);
+    ScriptedTrace trace({
+        writeEvent(0, a), // Unique.
+        readEvent(0),
+        writeEvent(1, a), // Duplicate of line 0.
+        writeEvent(1, a), // Silent store.
+        writeEvent(0, b), // Unique; line 1 still holds 'a'.
+        writeEvent(1, b), // Duplicate of line 0; 'a' leaves memory.
+        readEvent(1),
+        writeEvent(2, a), // Unique: its only source was overwritten.
+    });
+    std::vector<LineAddr> addrs;
+    std::vector<Line> contents;
+    std::vector<bool> verdicts;
+    const WorkloadStats stats = measureWorkload(
+        trace, 100, [&](const MemEvent &event, bool duplicate) {
+            EXPECT_TRUE(event.isWrite);
+            addrs.push_back(event.addr);
+            contents.push_back(event.data);
+            verdicts.push_back(duplicate);
+        });
+
+    EXPECT_EQ(addrs, (std::vector<LineAddr>{ 0, 1, 1, 0, 1, 2 }));
+    EXPECT_TRUE(contents == (std::vector<Line>{ a, a, a, b, b, a }));
+    EXPECT_EQ(verdicts, (std::vector<bool>{ false, true, true, false,
+                                            true, false }));
+    EXPECT_EQ(stats.writes, verdicts.size());
+    EXPECT_EQ(stats.reads, 2u);
+    EXPECT_EQ(stats.duplicateWrites,
+              static_cast<std::uint64_t>(
+                  std::count(verdicts.begin(), verdicts.end(), true)));
 }
 
 TEST(WorkloadStatsTest, MaxEventsTruncates)
