@@ -72,7 +72,6 @@ knownKnobs()
         "DEWRITE_AUDIT_EPOCH",
         "DEWRITE_BATCH",
         "DEWRITE_EVENTS",
-        "DEWRITE_LOG",
         "DEWRITE_STAGE_PROFILE",
         "DEWRITE_THREADS",
     };

@@ -11,8 +11,7 @@
  * strict parsing.
  *
  * All helpers latch nothing: they re-read the environment on every
- * call, which keeps them testable with setenv/unsetenv. Callers that
- * want latch-once semantics (e.g. logLevel()) wrap them in a static.
+ * call, which keeps them testable with setenv/unsetenv.
  */
 
 #ifndef DEWRITE_COMMON_ENV_HH
@@ -25,9 +24,9 @@
 namespace dewrite {
 
 /**
- * Raw variable lookup (nullptr when unset). Only for callers that
- * apply their own strict validation, e.g. the DEWRITE_LOG enum parse;
- * prefer envFlag()/envUint() everywhere else.
+ * Raw variable lookup (nullptr when unset), for code that saves and
+ * restores a variable (the tests' ScopedEnv); read knobs through
+ * envFlag()/envUint(), which validate them.
  */
 const char *envRaw(const char *name);
 

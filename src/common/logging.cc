@@ -13,11 +13,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
-
-#include "common/env.hh"
 
 namespace dewrite {
 
@@ -57,42 +54,6 @@ vreport(const char *prefix, const char *fmt, std::va_list args)
 
 } // namespace
 
-bool
-parseLogLevel(const char *text, LogLevel &out)
-{
-    if (!text)
-        return false;
-    if (std::strcmp(text, "quiet") == 0)
-        out = LogLevel::Quiet;
-    else if (std::strcmp(text, "normal") == 0)
-        out = LogLevel::Normal;
-    else if (std::strcmp(text, "verbose") == 0)
-        out = LogLevel::Verbose;
-    else
-        return false;
-    return true;
-}
-
-LogLevel
-logLevel()
-{
-    // Latched on first use; fatal() on a malformed value rather than
-    // silently running at the wrong verbosity (same contract as
-    // DEWRITE_EVENTS / DEWRITE_THREADS).
-    static const LogLevel level = [] {
-        LogLevel parsed = LogLevel::Normal;
-        if (const char *env = envRaw("DEWRITE_LOG")) {
-            if (!parseLogLevel(env, parsed)) {
-                fatal("DEWRITE_LOG=\"%s\" is not one of "
-                      "quiet/normal/verbose",
-                      env);
-            }
-        }
-        return parsed;
-    }();
-    return level;
-}
-
 void
 panic(const char *fmt, ...)
 {
@@ -119,28 +80,6 @@ warn(const char *fmt, ...)
     std::va_list args;
     va_start(args, fmt);
     vreport("warn", fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (logLevel() == LogLevel::Quiet)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
-}
-
-void
-verbose(const char *fmt, ...)
-{
-    if (logLevel() != LogLevel::Verbose)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vreport("debug", fmt, args);
     va_end(args);
 }
 

@@ -1,19 +1,12 @@
 /**
  * @file
- * gem5-style status and error reporting: panic/fatal/warn/inform.
+ * gem5-style error reporting: panic/fatal/warn.
  *
  * panic() flags simulator bugs (aborts); fatal() flags unusable user
- * configuration (exits cleanly with an error code); warn()/inform()
- * print and continue. Reports are thread-safe: each message is
- * formatted privately and written to stderr in one call, so messages
- * from parallel runner workers never interleave mid-line.
- *
- * Verbosity comes from the DEWRITE_LOG environment variable:
- *  - "quiet":   only warn/fatal/panic reach stderr;
- *  - "normal":  the default — everything but verbose();
- *  - "verbose": verbose() messages print too.
- * Any other value is rejected with fatal(), matching the strict
- * parsing of DEWRITE_EVENTS / DEWRITE_THREADS.
+ * configuration (exits cleanly with an error code); warn() prints and
+ * continues. Reports are thread-safe: each message is formatted
+ * privately and written to stderr in one call, so messages from
+ * parallel runner workers never interleave mid-line.
  */
 
 #ifndef DEWRITE_COMMON_LOGGING_HH
@@ -33,30 +26,6 @@ namespace dewrite {
 
 /** Suspicious but survivable condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Normal operating status; silenced by DEWRITE_LOG=quiet. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Diagnostic chatter; printed only under DEWRITE_LOG=verbose. */
-void verbose(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report verbosity (see DEWRITE_LOG above). */
-enum class LogLevel
-{
-    Quiet,
-    Normal,
-    Verbose,
-};
-
-/**
- * Parses a DEWRITE_LOG value. Returns false (leaving @p out untouched)
- * when @p text names no level; exposed for tests — the logging calls
- * themselves fatal() on a malformed value.
- */
-bool parseLogLevel(const char *text, LogLevel &out);
-
-/** The active level: DEWRITE_LOG if set and valid, else Normal. */
-LogLevel logLevel();
 
 } // namespace dewrite
 

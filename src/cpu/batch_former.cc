@@ -6,6 +6,7 @@
 #include "cpu/batch_former.hh"
 
 #include "common/check.hh"
+#include "cpu/core_model.hh"
 
 namespace dewrite {
 
@@ -19,25 +20,28 @@ BatchFormer::reset(std::size_t capacity)
     size_ = 0;
 }
 
-std::size_t
-BatchFormer::stage(LineAddr addr, const Line &data, Time now)
+void
+BatchFormer::stage(CoreStep &core, LineAddr addr, const Line &data,
+                   Time now)
 {
     DEWRITE_DCHECK(size_ < capacity_, "batch overflow");
-    slots_[size_] = { addr, now, data };
+    slots_[size_++] = { &core, addr, now, data };
     writesStaged_.increment();
-    return size_++;
 }
 
-std::size_t
-BatchFormer::flush(MemController &controller, CtrlWriteResult *results,
-                   FlushReason reason)
+void
+BatchFormer::flush(MemController &controller, FlushReason reason)
 {
     if (size_ == 0)
-        return 0;
+        return;
     std::array<CtrlWriteRequest, kMaxWriteBatch> requests;
     for (std::size_t i = 0; i < size_; ++i)
         requests[i] = { slots_[i].addr, &slots_[i].data, slots_[i].now };
-    controller.writeBatch(requests.data(), results, size_);
+    controller.writeBatch(requests.data(), results_.data(), size_);
+    for (std::size_t i = 0; i < size_; ++i) {
+        slots_[i].core->resolve(slots_[i].now + results_[i].latency,
+                                results_[i].eliminated);
+    }
 
     switch (reason) {
       case FlushReason::Read:
@@ -54,9 +58,7 @@ BatchFormer::flush(MemController &controller, CtrlWriteResult *results,
         break;
     }
 
-    const std::size_t flushed = size_;
     size_ = 0;
-    return flushed;
 }
 
 std::uint64_t

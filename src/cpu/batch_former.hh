@@ -11,9 +11,11 @@
  * so the registry exposes *why* batches break up, not just cycle
  * totals.
  *
- * Both CoreModel::runMulti (the batch-run experiment path) and the
- * service's ShardCore (the resumable per-shard loop) drive one former;
- * extracting it keeps the strict-equivalence contract in one place.
+ * The in-order core step (CoreStep) stages into a former: one former
+ * shared by every core of CoreModel::runMulti, or a ShardCore's own.
+ * Each staged write remembers its core, and a flush hands every
+ * write's completion back to that core, whichever core's event forced
+ * the flush.
  */
 
 #ifndef DEWRITE_CPU_BATCH_FORMER_HH
@@ -28,6 +30,8 @@
 #include "obs/metric_registry.hh"
 
 namespace dewrite {
+
+class CoreStep;
 
 class BatchFormer
 {
@@ -54,28 +58,19 @@ class BatchFormer
     bool full() const { return size_ >= capacity_; }
 
     /**
-     * Stages one write (copied — the trace buffer may be overwritten
-     * before the flush) and returns its slot index within the current
-     * batch. The former must not be full.
+     * Stages one write of @p core (copied — the trace buffer may be
+     * overwritten before the flush). The former must not be full.
      */
-    std::size_t stage(LineAddr addr, const Line &data, Time now);
-
-    /**
-     * Issue time of staged slot @p slot. Slot data stays readable
-     * after flush() until stage() overwrites it, which lets callers
-     * resolve store-queue completion times from the responses.
-     */
-    Time slotNow(std::size_t slot) const { return slots_[slot].now; }
+    void stage(CoreStep &core, LineAddr addr, const Line &data, Time now);
 
     /**
      * Hands every staged write to @p controller.writeBatch() in stage
-     * order, filling results[0..size) — the strict-equivalence batch
-     * contract — and counts the flush under @p reason. Empty formers
-     * return 0 without touching the controller or the counters.
-     * @return the number of writes flushed.
+     * order — the strict-equivalence batch contract — then resolves
+     * each write's completion (issue time plus latency) on the core
+     * that staged it, and counts the flush under @p reason. An empty
+     * former touches neither the controller nor the counters.
      */
-    std::size_t flush(MemController &controller, CtrlWriteResult *results,
-                      FlushReason reason);
+    void flush(MemController &controller, FlushReason reason);
 
     /** @{ Flush-reason accounting (non-empty flushes only). */
     std::uint64_t flushesOnRead() const { return flushRead_.value(); }
@@ -105,12 +100,14 @@ class BatchFormer
   private:
     struct Slot
     {
+        CoreStep *core = nullptr;
         LineAddr addr = 0;
         Time now = 0;
         Line data;
     };
 
     std::array<Slot, kMaxWriteBatch> slots_;
+    std::array<CtrlWriteResult, kMaxWriteBatch> results_;
     std::size_t capacity_ = 1;
     std::size_t size_ = 0;
 

@@ -15,8 +15,11 @@
 #define DEWRITE_CPU_CORE_MODEL_HH
 
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/timing.hh"
 #include "common/types.hh"
 #include "cpu/batch_former.hh"
@@ -24,6 +27,7 @@
 namespace dewrite {
 
 class TraceSource;
+struct MemEvent;
 
 /**
  * Writes handed to the controller per batched step: DEWRITE_BATCH
@@ -51,6 +55,78 @@ struct RunResult
     std::uint64_t nvmLineReads = 0;
     std::uint64_t bitsProgrammed = 0; //!< Data cells programmed.
 };
+
+/**
+ * One in-order core: its clock, its persist store queue and its event
+ * counts. Both trace-driven loops drive it — CoreModel::runMulti (one
+ * step per core) and the service's ShardCore — so the core's issue,
+ * stall and read logic has exactly one copy.
+ *
+ * A write is staged into the former and takes a store-queue entry; the
+ * former may be shared by several cores, so a flush forced by any
+ * core's event hands each flushed write's completion back to the core
+ * that staged it (resolve()). The core stalls only when its queue is
+ * full, until the oldest entry completes.
+ */
+class CoreStep
+{
+  public:
+    CoreStep(const TimingConfig &timing, MemController &controller,
+             BatchFormer &former)
+        : timing_(timing), controller_(controller), former_(former)
+    {
+    }
+
+    /** Issues @p event after its compute phase. */
+    void feed(const MemEvent &event);
+
+    /** When the next event, @p inst_gap instructions on, would issue. */
+    Time
+    issueAt(std::uint64_t inst_gap) const
+    {
+        // The +1 cycle is the memory instruction's own issue slot, so
+        // IPC can reach but not exceed one per core.
+        return now_ + timing_.cycles(inst_gap + 1);
+    }
+
+    /**
+     * Completion of this core's oldest unresolved write. The former
+     * calls it in stage order, which is each core's queue order, so
+     * the unresolved entries are always the newest ones.
+     */
+    void
+    resolve(Time complete, bool eliminated)
+    {
+        DEWRITE_DCHECK(unresolved_ > 0, "no staged write to resolve");
+        storeQueue_[storeQueue_.size() - unresolved_--] = complete;
+        if (eliminated)
+            ++counts_.writesEliminated;
+    }
+
+    Time now() const { return now_; }
+
+    /** Event counts (instructions, events, writes, reads, eliminated). */
+    const RunResult &counts() const { return counts_; }
+
+  private:
+    const TimingConfig &timing_;
+    MemController &controller_;
+    BatchFormer &former_;
+
+    std::deque<Time> storeQueue_; //!< In-flight write completions.
+    std::size_t unresolved_ = 0;  //!< Newest entries still staged.
+    Time now_ = 0;
+    RunResult counts_;
+};
+
+/**
+ * The run's outcome over @p cores: counts sum over the cores, cycles
+ * are the slowest core's (so IPC is aggregate, up to one per core),
+ * and the average latencies are @p controller's. Memory-side fields
+ * stay zero; System::run completes them.
+ */
+RunResult tally(std::span<const CoreStep> cores, const TimingConfig &timing,
+                const MemController &controller);
 
 class CoreModel
 {

@@ -13,7 +13,6 @@
 
 #include "common/crc32.hh"
 #include "common/env.hh"
-#include "common/logging.hh"
 #include "dedup/metadata_auditor.hh"
 #include "obs/stage_profile.hh"
 
@@ -130,12 +129,11 @@ experimentEvents()
 {
     // Every bench resolves its event budget here, so this is the
     // shared spot to validate the rest of the experiment environment:
-    // an unknown or retired DEWRITE_* name, or a malformed DEWRITE_LOG,
+    // an unknown or retired DEWRITE_* name, or a malformed
     // DEWRITE_AUDIT, DEWRITE_AUDIT_EPOCH, DEWRITE_BATCH or
     // DEWRITE_STAGE_PROFILE dies before any cell runs (even when the
     // value would never be read).
     rejectUnknownKnobs();
-    logLevel();
     auditEnabled();
     auditEpochWrites();
     writeBatchSize();

@@ -5,8 +5,8 @@
  * Every figure bench replays the same ~20-application catalog through
  * runApp one (app, scheme) cell at a time; the cells are mutually
  * independent — each owns its own System, trace generators, and
- * appSeed-derived RNG — so they fan out across a work-stealing thread
- * pool with results byte-identical to a serial loop:
+ * appSeed-derived RNG — so they fan out across a thread pool with
+ * results byte-identical to a serial loop:
  *
  *  - results land in pre-assigned slots of a caller-visible vector,
  *    indexed by cell, so completion order never shows;

@@ -46,9 +46,6 @@ System::System(const SystemConfig &config, const SchemeOptions &scheme,
     : config_(config), device_(config_), core_(config_.timing)
 {
     validateConfig(config_);
-    // Latch (and validate) DEWRITE_LOG up front so a malformed value
-    // fails fast like DEWRITE_EVENTS, not on the first gated message.
-    logLevel();
     controller_ = makeController(config_, device_, scheme, key);
 
     registry_.addGauge(

@@ -1,12 +1,10 @@
 /**
  * @file
- * Work-stealing thread pool implementation.
+ * Thread pool implementation.
  *
- * Two counters drive the synchronization: queued_ (tasks sitting in
- * some deque, the workers' wake predicate) and pending_ (tasks
- * submitted but not yet finished, the wait() predicate). Both live
- * under the central mutex; the per-worker deques have their own locks
- * so the steal scan never serializes on the central one.
+ * One mutex guards the task queue and pending_ (tasks submitted but
+ * not yet finished, the wait() predicate); workers sleep on workReady_
+ * until the queue is non-empty or the pool is stopping.
  */
 
 #include "sim/thread_pool.hh"
@@ -18,12 +16,9 @@ namespace dewrite {
 ThreadPool::ThreadPool(unsigned threads)
 {
     const unsigned count = std::max(1u, threads);
-    queues_.reserve(count);
-    for (unsigned i = 0; i < count; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(count);
     for (unsigned i = 0; i < count; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -40,83 +35,40 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    std::size_t target;
     {
         std::lock_guard lock(mutex_);
         ++pending_;
-        ++queued_;
-        target = nextQueue_;
-        nextQueue_ = (nextQueue_ + 1) % queues_.size();
-    }
-    {
-        std::lock_guard lock(queues_[target]->mutex);
-        queues_[target]->tasks.push_back(std::move(task));
+        tasks_.push_back(std::move(task));
     }
     workReady_.notify_one();
 }
 
-bool
-ThreadPool::tryRun(std::size_t self)
+void
+ThreadPool::workerLoop()
 {
-    std::function<void()> task;
+    std::unique_lock lock(mutex_);
+    for (;;) {
+        workReady_.wait(lock,
+                        [this] { return stopping_ || !tasks_.empty(); });
+        if (tasks_.empty())
+            return; // Stopping, and every queued task has been taken.
+        std::function<void()> task = std::move(tasks_.front());
+        tasks_.pop_front();
+        lock.unlock();
 
-    // Own queue first, newest task (still-warm working set) ...
-    {
-        WorkerQueue &mine = *queues_[self];
-        std::lock_guard lock(mine.mutex);
-        if (!mine.tasks.empty()) {
-            task = std::move(mine.tasks.back());
-            mine.tasks.pop_back();
+        std::exception_ptr error;
+        try {
+            task();
+        } catch (...) {
+            error = std::current_exception();
         }
-    }
-    // ... then steal the oldest task of the first non-empty victim.
-    if (!task) {
-        for (std::size_t step = 1; step < queues_.size() && !task;
-             ++step) {
-            WorkerQueue &victim =
-                *queues_[(self + step) % queues_.size()];
-            std::lock_guard lock(victim.mutex);
-            if (!victim.tasks.empty()) {
-                task = std::move(victim.tasks.front());
-                victim.tasks.pop_front();
-            }
-        }
-    }
-    if (!task)
-        return false;
+        task = nullptr; // Captures die before wait() can return.
 
-    {
-        std::lock_guard lock(mutex_);
-        --queued_;
-    }
-
-    try {
-        task();
-    } catch (...) {
-        std::lock_guard lock(mutex_);
-        if (!firstError_)
-            firstError_ = std::current_exception();
-    }
-
-    {
-        std::lock_guard lock(mutex_);
+        lock.lock();
+        if (error && !firstError_)
+            firstError_ = error;
         if (--pending_ == 0)
             allDone_.notify_all();
-    }
-    return true;
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
-    for (;;) {
-        if (tryRun(self))
-            continue;
-        std::unique_lock lock(mutex_);
-        workReady_.wait(lock,
-                        [this] { return stopping_ || queued_ > 0; });
-        if (stopping_ && queued_ == 0)
-            return;
     }
 }
 

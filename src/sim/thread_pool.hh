@@ -1,14 +1,14 @@
 /**
  * @file
- * A small work-stealing thread pool for the experiment runner.
+ * A small thread pool for the experiment runner and the service.
  *
- * Each worker owns a deque of tasks: it pops from the back of its own
- * deque (LIFO, cache-warm) and steals from the front of a victim's
- * (FIFO, the oldest — and for experiment matrices the largest-grained
- * — work). Simulation cells are coarse (milliseconds to seconds), so
- * the per-deque mutex is never contended enough to matter; what the
- * stealing buys is load balance when cell costs are skewed, e.g. a
- * dup-heavy application finishing long before a unique-heavy one.
+ * Workers take tasks from one FIFO queue under one mutex — the same
+ * mutex submit() and every completion already take for the pending
+ * count. Tasks are coarse (simulation cells of milliseconds to seconds,
+ * per-shard drain rounds), so the lock is never contended enough to
+ * matter, and an idle worker always takes the next task, which keeps
+ * the load balanced when task costs are skewed, e.g. a dup-heavy
+ * application finishing long before a unique-heavy one.
  *
  * The pool itself imposes no ordering, so determinism is the caller's
  * contract: tasks must not share mutable state, and each must write
@@ -56,26 +56,18 @@ class ThreadPool
     }
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
+    void workerLoop();
 
-    void workerLoop(std::size_t self);
-    bool tryRun(std::size_t self);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-
-    std::mutex mutex_; //!< Guards the fields below.
+    std::mutex mutex_; //!< Guards the task queue, count and flags.
     std::condition_variable workReady_;
     std::condition_variable allDone_;
+    std::deque<std::function<void()>> tasks_; //!< Not yet taken.
     std::size_t pending_ = 0; //!< Submitted but not yet finished.
-    std::size_t queued_ = 0;  //!< Sitting in a deque, not yet taken.
-    std::size_t nextQueue_ = 0;
     bool stopping_ = false;
     std::exception_ptr firstError_;
+
+    /** Last: the workers use every member above. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace dewrite

@@ -1,7 +1,7 @@
 /**
  * @file
- * Logging tests: DEWRITE_LOG parsing, level gating, and interleaving
- * safety of concurrent reports.
+ * Logging tests: the report line format and interleaving safety of
+ * concurrent reports.
  */
 
 #include <gtest/gtest.h>
@@ -15,81 +15,15 @@
 namespace dewrite {
 namespace {
 
-TEST(ParseLogLevelTest, AcceptsTheThreeLevels)
-{
-    LogLevel level = LogLevel::Normal;
-    EXPECT_TRUE(parseLogLevel("quiet", level));
-    EXPECT_EQ(level, LogLevel::Quiet);
-    EXPECT_TRUE(parseLogLevel("normal", level));
-    EXPECT_EQ(level, LogLevel::Normal);
-    EXPECT_TRUE(parseLogLevel("verbose", level));
-    EXPECT_EQ(level, LogLevel::Verbose);
-}
-
-TEST(ParseLogLevelTest, RejectsEverythingElse)
-{
-    LogLevel level = LogLevel::Quiet;
-    EXPECT_FALSE(parseLogLevel(nullptr, level));
-    EXPECT_FALSE(parseLogLevel("", level));
-    EXPECT_FALSE(parseLogLevel("QUIET", level)); // Case-sensitive.
-    EXPECT_FALSE(parseLogLevel("verbose ", level));
-    EXPECT_FALSE(parseLogLevel("2", level));
-    EXPECT_EQ(level, LogLevel::Quiet); // Untouched on failure.
-}
-
-TEST(LogLevelDeathTest, MalformedEnvValueIsFatal)
+TEST(LoggingDeathTest, WarnWritesOneWholeLine)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_EXIT(
         {
-            ::setenv("DEWRITE_LOG", "loud", 1);
-            logLevel();
-        },
-        ::testing::ExitedWithCode(1), "DEWRITE_LOG");
-}
-
-TEST(LogLevelDeathTest, ValidEnvValueIsHonored)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // The level latches on first use, so probe it in a child process.
-    EXPECT_EXIT(
-        {
-            ::setenv("DEWRITE_LOG", "verbose", 1);
-            std::exit(logLevel() == LogLevel::Verbose ? 17 : 1);
-        },
-        ::testing::ExitedWithCode(17), "");
-}
-
-TEST(LogLevelDeathTest, QuietSilencesInform)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_EXIT(
-        {
-            ::setenv("DEWRITE_LOG", "quiet", 1);
-            inform("this must not appear");
-            warn("warnings still appear");
+            warn("warnings %s", "appear");
             std::exit(23);
         },
-        ::testing::ExitedWithCode(23), "^warn: warnings still appear\n$");
-}
-
-TEST(LogLevelDeathTest, VerboseGatesDebugChatter)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_EXIT(
-        {
-            ::setenv("DEWRITE_LOG", "normal", 1);
-            verbose("hidden at normal");
-            std::exit(29);
-        },
-        ::testing::ExitedWithCode(29), "^$");
-    EXPECT_EXIT(
-        {
-            ::setenv("DEWRITE_LOG", "verbose", 1);
-            verbose("shown at verbose");
-            std::exit(31);
-        },
-        ::testing::ExitedWithCode(31), "shown at verbose");
+        ::testing::ExitedWithCode(23), "^warn: warnings appear\n$");
 }
 
 TEST(LoggingTest, ConcurrentWarnsDoNotCrash)

@@ -85,6 +85,21 @@ class BatchSizeRecorder : public StubController
     std::vector<std::size_t> writesSeenAtRead;
 };
 
+/** Reports every write to an even address as eliminated. */
+class EvenEliminator : public StubController
+{
+  public:
+    using StubController::StubController;
+
+    CtrlWriteResult
+    write(LineAddr addr, const Line &data, Time now) override
+    {
+        CtrlWriteResult result = StubController::write(addr, data, now);
+        result.eliminated = addr % 2 == 0;
+        return result;
+    }
+};
+
 /** Fixed event script. */
 class ScriptedTrace : public TraceSource
 {
@@ -273,6 +288,58 @@ TEST(CoreModelTest, ReadAndTraceEndFlushStagedWrites)
     EXPECT_EQ(core.former().writesStaged(), 4u);
     EXPECT_EQ(result.writes, 4u);
     EXPECT_EQ(result.reads, 1u);
+}
+
+TEST(CoreModelTest, ReadFlushResolvesAnotherCoresWrites)
+{
+    // Core 1's read flushes core 0's first write. Its completion must
+    // reach core 0's store queue: core 0's third write fills the queue
+    // again and waits for that first write to complete.
+    ::unsetenv("DEWRITE_BATCH");
+    TimingConfig timing;
+    timing.storeQueueDepth = 2;
+    CoreModel core(timing);
+    BatchSizeRecorder ctrl(300 * kNanoSecond, 100 * kNanoSecond);
+
+    ScriptedTrace trace_a({ write(1, 10), write(2, 10), write(3, 10) });
+    ScriptedTrace trace_b({ read(9, 15) });
+    std::vector<TraceSource *> traces{ &trace_a, &trace_b };
+    core.runMulti(traces, ctrl, 100);
+
+    EXPECT_EQ(ctrl.batchSizes, (std::vector<std::size_t>{ 1, 1, 1 }));
+    EXPECT_EQ(ctrl.writesSeenAtRead, (std::vector<std::size_t>{ 1 }));
+    ASSERT_EQ(ctrl.writeIssues.size(), 3u);
+    EXPECT_EQ(ctrl.writeIssues[2].second,
+              ctrl.writeIssues[0].second + 300 * kNanoSecond +
+                  timing.cycles(11));
+}
+
+TEST(CoreModelTest, EliminatedWritesCountAcrossCores)
+{
+    // Core 0's read flushes core 1's write 10, core 1's read flushes
+    // core 0's writes 2, 3 and 6, and the trace end flushes both
+    // cores' tails: every eliminated write counts once, whichever
+    // core's event flushed it.
+    ::unsetenv("DEWRITE_BATCH");
+    TimingConfig timing;
+    CoreModel core(timing);
+    EvenEliminator ctrl(300 * kNanoSecond, 100 * kNanoSecond);
+
+    ScriptedTrace trace_a({ write(0, 10), read(50, 10), write(2, 10),
+                            write(3, 10), write(6, 10), write(8, 10) });
+    ScriptedTrace trace_b(
+        { write(10, 12), read(51, 250), write(12, 12), write(13, 12) });
+    std::vector<TraceSource *> traces{ &trace_a, &trace_b };
+    const RunResult result = core.runMulti(traces, ctrl, 100);
+
+    std::uint64_t even = 0;
+    for (const auto &[addr, now] : ctrl.writeIssues)
+        even += addr % 2 == 0;
+    ASSERT_EQ(ctrl.writeIssues.size(), 8u);
+    EXPECT_EQ(even, 6u);
+    EXPECT_EQ(result.writesEliminated, even);
+    EXPECT_EQ(core.former().flushesOnRead(), 2u);
+    EXPECT_EQ(core.former().flushesOnTraceEnd(), 1u);
 }
 
 TEST(CoreModelTest, MultiCoreInterleavesByTime)

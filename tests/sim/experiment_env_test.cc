@@ -106,7 +106,8 @@ TEST(ExperimentEventsDeathTest, RejectsUnknownKnobEagerly)
     // scan it would be ignored silently; it dies naming the variable.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     for (const char *name : { "DEWRITE_DETECT", "DEWRITE_EVENT",
-                              "DEWRITE_SHARDS", "DEWRITE_TELEMETRY",
+                              "DEWRITE_LOG", "DEWRITE_SHARDS",
+                              "DEWRITE_TELEMETRY",
                               "DEWRITE_TELEMETRY_EVERY" }) {
         ScopedEnv env(name, "1");
         EXPECT_EXIT(experimentEvents(), ::testing::ExitedWithCode(1),

@@ -1,7 +1,7 @@
 /**
  * @file
  * Determinism and correctness tests for the parallel experiment
- * runner and its work-stealing thread pool.
+ * runner and its thread pool.
  *
  * The load-bearing property: runMatrix must produce results
  * byte-identical to the equivalent serial runApp loop at *any* worker
@@ -85,6 +85,19 @@ TEST(ThreadPoolTest, TasksSubmittedFromTasksRun)
     });
     pool.wait();
     EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(ThreadPoolTest, DestructorRunsQueuedTasks)
+{
+    // No wait(): the destructor itself must finish every queued task
+    // before it joins the workers.
+    std::atomic<int> ran{ 0 };
+    {
+        ThreadPool pool(2);
+        for (int i = 0; i < 64; ++i)
+            pool.submit([&] { ran.fetch_add(1); });
+    }
+    EXPECT_EQ(ran.load(), 64);
 }
 
 // --- parallelFor -----------------------------------------------------

@@ -8,7 +8,8 @@ lexical rule can express (DESIGN.md §5i):
 
   shard-isolation     From the per-shard drain-task roots (functions
                       annotated ``// dewrite-analyze:
-                      root(shard-isolation)`` in src/service/), no call
+                      root(shard-isolation)``: the in-order core step
+                      and ShardCore's entry points), no call
                       path reaches mutable static-storage state — a
                       namespace-scope variable or function-local
                       ``static`` — unless the variable is annotated
@@ -42,10 +43,10 @@ lexical rule can express (DESIGN.md §5i):
                       on the include line.
   determinism         From the result-producing roots (functions
                       annotated ``// dewrite-analyze:
-                      root(determinism)``: System::run and the
-                      ShardCore drain loop), no call path reaches
-                      wall-clock reads, rand(), or address-ordered
-                      iteration. Sites PR 4 already catalogued — a
+                      root(determinism)``: System::run, the core
+                      step and the ShardCore drain loop), no call
+                      path reaches wall-clock reads, rand(), or
+                      address-ordered iteration. Sites PR 4 already catalogued — a
                       ``.forEach(`` carrying ``// dewrite-lint:
                       allow(unsorted-iteration)`` — are trusted;
                       deliberate host-side profiling reads carry
@@ -811,7 +812,7 @@ class _AstWalker:
         # field access) falls back to the spelled name, which the
         # over-approximate call graph treats like any unqualified
         # call. Without this branch the closures from method-heavy
-        # roots (ShardCore::flush et al.) are near-empty and every
+        # roots (CoreStep::feed et al.) are near-empty and every
         # reachability rule passes vacuously.
         mref = node.get("referencedMemberDecl")
         if node.get("kind") == "MemberExpr" and mref:
@@ -1238,11 +1239,10 @@ def collect_sources(only: list[str] | None = None) -> dict[str, str]:
 # --------------------------------------------------------------------
 
 SEEDED_BREAKS = [
-    ("shard-isolation", "src/service/shard_core.cc",
-     "    now_ += timing_.cycles(event.instGap + 1);",
+    ("shard-isolation", "src/cpu/core_model.cc",
+     "    now_ = issueAt(event.instGap);",
      "    static std::uint64_t seededCrossShard = 0;\n"
-     "    now_ += ++seededCrossShard * 0;\n"
-     "    now_ += timing_.cycles(event.instGap + 1);"),
+     "    now_ = issueAt(event.instGap) + ++seededCrossShard * 0;"),
     ("hot-path-purity", "src/common/line.hh",
      "            if (a != b)",
      "            seededScratch.push_back(a);\n"
@@ -1250,10 +1250,10 @@ SEEDED_BREAKS = [
     ("layering", "src/common/line.hh",
      "#include <array>",
      "#include <array>\n#include \"service/dedup_service.hh\""),
-    ("determinism", "src/service/shard_core.cc",
-     "    now_ += timing_.cycles(event.instGap + 1);",
-     "    now_ += static_cast<Time>(time(nullptr)) * 0;\n"
-     "    now_ += timing_.cycles(event.instGap + 1);"),
+    ("determinism", "src/cpu/core_model.cc",
+     "    now_ = issueAt(event.instGap);",
+     "    now_ = issueAt(event.instGap) +\n"
+     "           static_cast<Time>(time(nullptr)) * 0;"),
 ]
 
 

@@ -39,7 +39,7 @@ Rules
   env-fail-fast           new DEWRITE_* variables must be parsed with
                           envFlag()/envUint() (which reject malformed
                           values fatally); raw envRaw() access is
-                          reserved for src/common/{env,logging}.
+                          reserved for src/common/env.
   env-knob-registry       every DEWRITE_* name passed to an env access
                           call (envFlag/envUint/envRaw/getenv/setenv/
                           unsetenv) must appear in KNOWN_KNOBS below.
@@ -133,11 +133,10 @@ RULES = [
     Rule("env-fail-fast",
          r"\benvRaw\s*\(",
          dirs=("src", "bench", "examples"),
-         exempt=("src/common/env.cc", "src/common/env.hh",
-                 "src/common/logging.cc"),
+         exempt=("src/common/env.cc", "src/common/env.hh"),
          message="parse DEWRITE_* variables with envFlag()/envUint() "
                  "so malformed values fail fast; raw access is "
-                 "reserved for the env/logging layer"),
+                 "reserved for the env layer"),
 ]
 
 # The authoritative environment-knob catalogue (env-knob-registry).
@@ -148,7 +147,6 @@ KNOWN_KNOBS = frozenset({
     "DEWRITE_AUDIT_EPOCH",   # audit cadence in events
     "DEWRITE_BATCH",         # write-batch capacity (1..kMaxWriteBatch)
     "DEWRITE_EVENTS",        # events per experiment cell
-    "DEWRITE_LOG",           # log level
     "DEWRITE_STAGE_PROFILE", # per-stage host-cycle attribution
     "DEWRITE_THREADS",       # runner / service worker threads
 })
