@@ -4,9 +4,9 @@
  *
  * Computes the NVM space each metadata structure occupies relative to
  * the data capacity, compares with DEUCE's metadata, and reports the
- * counter-colocation outcome: how many counters actually needed the
- * overflow store (the corner the paper's "one of the two entries is
- * null" observation misses; see DESIGN.md Section 5).
+ * counter-colocation outcome: how many counters had to spill outside
+ * both entries (the corner the paper's "one of the two entries is
+ * null" observation misses; see DESIGN.md Section 4b).
  *
  * Paper's shape: ~6.25% total for DeWrite (and no separate counter
  * table); DEUCE pays 6.25% flags + 28 bits/line of counters.

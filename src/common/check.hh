@@ -12,7 +12,7 @@
  * builds (the default RelWithDebInfo defines NDEBUG), so it may guard
  * hot-path invariants without costing the benchmarks anything. Define
  * DEWRITE_FORCE_DCHECKS to keep them in an optimized build (the
- * audit-enabled CI shard does).
+ * sanitize CI job, ASan + UBSan, does).
  *
  * Both macros evaluate @p cond exactly once and the message arguments
  * not at all on the success path.
@@ -20,6 +20,8 @@
 
 #ifndef DEWRITE_COMMON_CHECK_HH
 #define DEWRITE_COMMON_CHECK_HH
+
+#include <cstdint>
 
 #include "common/logging.hh"
 
@@ -48,6 +50,22 @@ namespace detail {
                               ...) __attribute__((format(printf, 4, 5)));
 
 } // namespace detail
+
+/**
+ * Increments the 32-bit per-line count @p count (a wear count, a secure
+ * baseline counter) and returns the new value, panicking instead of
+ * wrapping: a wrapped encryption counter would reuse a pad and read as
+ * unwritten. @p what and @p line name the count in the report.
+ */
+inline std::uint32_t
+checkedIncrement(std::uint32_t &count, const char *what, std::uint64_t line)
+{
+    DEWRITE_CHECK(count != UINT32_MAX,
+                  "%s of line %llu would wrap past 2^32 - 1", what,
+                  static_cast<unsigned long long>(line));
+    return ++count;
+}
+
 } // namespace dewrite
 
 #endif // DEWRITE_COMMON_CHECK_HH

@@ -18,6 +18,11 @@
  * Addresses beyond kMaxDirectLines (stray or synthetic) spill into a
  * FlatMap so correctness never depends on the bound; in practice the
  * overflow stays empty.
+ *
+ * storeStreaming() writes a directly indexed line with SSE2
+ * non-temporal stores: the simulated device seldom reads a line back
+ * soon after writing it, so a plain copy's read-for-ownership of the
+ * 256 B would be wasted host traffic (DESIGN.md §5c).
  */
 
 #ifndef DEWRITE_COMMON_DENSE_LINE_STORE_HH
@@ -31,12 +36,30 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.hh"
 #include "common/flat_map.hh"
 #include "common/huge_pages.hh"
 #include "common/line.hh"
 #include "common/types.hh"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace dewrite {
+
+/**
+ * Makes this thread's earlier storeStreaming() stores visible before
+ * any of its later stores (SFENCE; a no-op without SSE2). Call it
+ * before handing a store whose lines were streamed to another thread.
+ */
+inline void
+fenceStreamedLines()
+{
+#if defined(__SSE2__)
+    _mm_sfence();
+#endif
+}
 
 class DenseLineStore
 {
@@ -109,6 +132,32 @@ class DenseLineStore
         const std::size_t slot = addr % kPageLines;
         writtenCount_ += markWritten(page, slot) ? 1 : 0;
         return (*pages_[page])[slot];
+    }
+
+    /**
+     * refForWrite(@p addr) = @p line, with non-temporal stores for a
+     * directly indexed line, whose 2 MiB-aligned page keeps it 16-byte
+     * aligned. Overflow lines (FlatMap slots, not 16-byte aligned) and
+     * builds without SSE2 take the plain copy. Another thread may read
+     * a streamed line only after this one calls fenceStreamedLines().
+     */
+    void
+    storeStreaming(LineAddr addr, const Line &line)
+    {
+        Line &slot = refForWrite(addr);
+#if defined(__SSE2__)
+        if (addr < kMaxDirectLines) {
+            DEWRITE_DCHECK(reinterpret_cast<std::uintptr_t>(&slot) % 16 == 0,
+                           "line %llu is not 16-byte aligned",
+                           static_cast<unsigned long long>(addr));
+            auto *out = reinterpret_cast<__m128i *>(slot.data());
+            const auto *in = reinterpret_cast<const __m128i *>(line.data());
+            for (std::size_t i = 0; i < kLineSize / sizeof(__m128i); ++i)
+                _mm_stream_si128(out + i, _mm_loadu_si128(in + i));
+            return;
+        }
+#endif
+        slot = line;
     }
 
     /** Number of distinct addresses ever written. */

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "common/check.hh"
+
 namespace dewrite {
 
 SecureBaselineController::SecureBaselineController(
@@ -51,7 +53,9 @@ SecureBaselineController::write(LineAddr addr, const Line &data, Time now)
     const MetadataAccessResult counter_access =
         counterCache_.access(addr, true, now);
     const Time counter_ready = now + counter_access.latency;
-    const std::uint64_t counter = ++counters_.ref(addr);
+    const std::uint64_t counter =
+        checkedIncrement(counters_.ref(addr), "secure-baseline counter",
+                         addr);
 
     if (options_.shredZeroLines && data.isZero()) {
         // Shredding: a zero-line write completes in metadata only.

@@ -67,7 +67,8 @@ class SecureBaselineController : public MemController
     std::unique_ptr<BitLevelReducer> reducer_;
     ZeroLineDirectory zeros_;
 
-    PagedArray<std::uint64_t> counters_;
+    /** Per-line encryption counters; a wrap panics (checkedIncrement). */
+    PagedArray<std::uint32_t> counters_;
     PadCache padCache_;
     Energy aesEnergy_ = 0;
 };

@@ -34,10 +34,9 @@ BatchFormer::flush(MemController &controller, FlushReason reason)
 {
     if (size_ == 0)
         return;
-    std::array<CtrlWriteRequest, kMaxWriteBatch> requests;
     for (std::size_t i = 0; i < size_; ++i)
-        requests[i] = { slots_[i].addr, &slots_[i].data, slots_[i].now };
-    controller.writeBatch(requests.data(), results_.data(), size_);
+        requests_[i] = { slots_[i].addr, &slots_[i].data, slots_[i].now };
+    controller.writeBatch(requests_.data(), results_.data(), size_);
     for (std::size_t i = 0; i < size_; ++i) {
         slots_[i].core->resolve(slots_[i].now + results_[i].latency,
                                 results_[i].eliminated);

@@ -107,6 +107,8 @@ class BatchFormer
     };
 
     std::array<Slot, kMaxWriteBatch> slots_;
+    /** flush()'s scratch: filled per flush, never cleared. */
+    std::array<CtrlWriteRequest, kMaxWriteBatch> requests_;
     std::array<CtrlWriteResult, kMaxWriteBatch> results_;
     std::size_t capacity_ = 1;
     std::size_t size_ = 0;

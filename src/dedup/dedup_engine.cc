@@ -13,13 +13,14 @@
  *    referencing S (pinned once saturated at 255).
  *  - Slot S's encryption counter never decreases and is stored at its
  *    colocation home (the mapping entry of lines_[S] if null, else its
- *    inverted-hash entry if null, else the overflow store).
+ *    inverted-hash entry if null, else the spill field of lines_[S]).
  */
 
 #include "dedup/dedup_engine.hh"
 
 #include <algorithm>
 
+#include "common/check.hh"
 #include "common/crc32.hh"
 #include "common/logging.hh"
 #include "nvm/nvm_device.hh"
@@ -48,12 +49,16 @@ DedupEngine::DedupEngine(const SystemConfig &config, NvmDevice &device,
       hashIndexDiv_(config.memory.numLines ? config.memory.numLines : 1),
       fingerprinter_(options.hashFunction), fsm_(config.memory.numLines)
 {
+    // A spilled counter is a minor counter kept in 32 bits.
+    DEWRITE_CHECK(options.counterBits <= 32,
+                  "dedup engine: %u-bit minor counters do not fit the "
+                  "record's 32-bit spill field",
+                  options.counterBits);
     // Size every hot-path structure up front from the config hints so
     // nothing rehashes or grows a directory mid-run (DESIGN.md §5).
     const std::uint64_t hint = config.memory.workingSetHint();
     hashStore_.reserve(hint);
     lines_.reserve(config.memory.numLines);
-    overflow_.reserve(64);
     majors_.reserve(64);
 }
 
@@ -72,28 +77,31 @@ DedupEngine::hashIndex(std::uint64_t hash) const
 std::uint64_t
 DedupEngine::counterOf(LineAddr slot) const
 {
-    return counterOf(slot, lines_.at(slot));
+    return counterOf(lines_.at(slot));
 }
 
 std::uint64_t
-DedupEngine::counterOf(LineAddr slot, const LineRecord &record) const
+DedupEngine::counterOf(const LineRecord &record)
 {
     if (const std::uint64_t *home = record.counterHome())
         return *home;
-    const std::uint64_t *spilled = overflow_.find(slot);
-    return spilled ? *spilled : 0;
+    return record.spilledCounter();
 }
 
 void
-DedupEngine::setCounterOf(LineAddr slot, LineRecord &record,
-                          std::uint64_t counter)
+DedupEngine::setCounterOf(LineRecord &record, std::uint64_t counter)
 {
     if (std::uint64_t *home = record.counterHome()) {
         *home = counter;
-        overflow_.erase(slot);
-    } else {
-        overflow_[slot] = counter;
+        if (record.spilled()) {
+            record.unspill();
+            --spilledCounters_;
+        }
+        return;
     }
+    spilledCounters_ += record.spilled() ? 0 : 1;
+    // Minor counters are at most 32 bits wide (checked at construction).
+    record.spill(static_cast<std::uint32_t>(counter));
 }
 
 void
@@ -220,8 +228,8 @@ Time
 DedupEngine::chargeCounterAccess(LineAddr slot, Time now)
 {
     // The counter is read from its colocation home; when it has spilled
-    // to the overflow store the probe still touches the mapping entry
-    // first (that is where hardware would look).
+    // the probe still touches the mapping entry first (that is where
+    // hardware would look).
     const LineRecord &record = lines_.at(slot);
     const MetadataTable table = record.isRemapped() && !record.holdsData()
         ? MetadataTable::InvertedHash
@@ -486,11 +494,11 @@ DedupEngine::releaseOld(LineAddr init_addr, const LineRecord &line,
         // Last reference died: reclaim the slot. The counter keeps its
         // value across the free so a future allocation never reuses an
         // OTP.
-        const std::uint64_t counter = counterOf(slot, record);
+        const std::uint64_t counter = counterOf(record);
         record.clearHash();
         t += metadata_.access(MetadataTable::InvertedHash, slot, true, t)
                  .latency;
-        setCounterOf(slot, record, counter);
+        setCounterOf(record, counter);
         fsm_.release(slot);
         t += metadata_.access(MetadataTable::Fsm, slot, true, t).latency;
     }
@@ -530,11 +538,11 @@ DedupEngine::commitDuplicate(LineAddr init_addr, const DetectOutcome &detect,
 
     t = releaseOld(init_addr, line, t);
 
-    const std::uint64_t own_counter = counterOf(init_addr, line);
+    const std::uint64_t own_counter = counterOf(line);
     line.remap(detect.dupSlot);
     t += metadata_.access(MetadataTable::Mapping, init_addr, true, t)
              .latency;
-    setCounterOf(init_addr, line, own_counter);
+    setCounterOf(line, own_counter);
 
     line.markWritten();
     dupCommits_.increment();
@@ -581,11 +589,11 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
         // The allocator handed us the slot of a never-written logical
         // line; mark that line "remapped to nothing" so a read of it
         // cannot alias the foreign data (DESIGN.md §5).
-        const std::uint64_t foreign_counter = counterOf(slot, slot_record);
+        const std::uint64_t foreign_counter = counterOf(slot_record);
         slot_record.remap(kNoData);
         t += metadata_.access(MetadataTable::Mapping, slot, true, t)
                  .latency;
-        setCounterOf(slot, slot_record, foreign_counter);
+        setCounterOf(slot_record, foreign_counter);
     }
 
     // Bump the slot counter and produce the ciphertext. A schedule that
@@ -633,13 +641,13 @@ DedupEngine::commitUnique(LineAddr init_addr, const Line &plaintext,
         // entry was null it was the colocation home of slot
         // init_addr's own counter (possibly protecting shared data
         // still stored there), which must move to a new home.
-        const std::uint64_t own_counter = counterOf(init_addr, line);
+        const std::uint64_t own_counter = counterOf(line);
         line.remap(slot);
-        setCounterOf(init_addr, line, own_counter);
+        setCounterOf(line, own_counter);
     }
     tm += metadata_.access(MetadataTable::Mapping, init_addr, true, tm)
               .latency;
-    setCounterOf(slot, slot_record, minor_counter);
+    setCounterOf(slot_record, minor_counter);
 
     line.markWritten();
     uniqueCommits_.increment();

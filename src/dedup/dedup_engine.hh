@@ -12,10 +12,10 @@
  *
  * Counter colocation (Section III-C) is centralized here: the per-slot
  * encryption counter lives in whichever of mapping[S] / invertedHash[S]
- * is currently a null entry. Both can be occupied in one corner case the
- * paper does not discuss (slot S holds foreign data while logical S is
- * remapped); those counters spill to a small overflow store whose
- * occupancy is tracked and expected to stay near zero (see DESIGN.md).
+ * is currently a null entry. Both can be occupied in one case the paper
+ * does not discuss (slot S holds foreign data while logical S is
+ * remapped); those counters spill into slot S's LineRecord, and their
+ * number is tracked (DESIGN.md §4b gives measured counts).
  *
  * Write-path split: the memory controller decides *scheduling* (direct /
  * parallel / predicted, Figure 3) by calling detect() and then one of
@@ -212,7 +212,7 @@ class DedupEngine
     /** @} */
 
     /** Slots whose counter had to spill outside both tables. */
-    std::size_t overflowCounters() const { return overflow_.size(); }
+    std::size_t overflowCounters() const { return spilledCounters_; }
 
     /**
      * Registers the engine's event counters and derived gauges under
@@ -269,7 +269,7 @@ class DedupEngine
     /** Recovery rebuilds the derived structures in place. */
     friend class RecoveryManager;
 
-    /** The audit layer reads overflow_ (DESIGN.md §5e); the
+    /** The audit layer decrypts stored lines (DESIGN.md §5e); the
      *  test peer corrupts tables deliberately to prove the auditor
      *  names the right invariant. */
     friend class MetadataAuditor;
@@ -285,15 +285,15 @@ class DedupEngine
     /** Effective OTP counter of @p slot (major ‖ stored minor). */
     std::uint64_t effectiveCounter(LineAddr slot) const;
 
-    /** counterOf() for slot @p slot, whose record is @p record. */
-    std::uint64_t counterOf(LineAddr slot, const LineRecord &record) const;
+    /** counterOf() for the slot whose record is @p record. */
+    static std::uint64_t counterOf(const LineRecord &record);
 
     /**
-     * Stores @p counter at slot @p slot's current colocation home;
-     * @p record is the slot's record.
+     * Stores @p counter at the current colocation home of the slot
+     * whose record is @p record, spilling it into the record when both
+     * entries are occupied.
      */
-    void setCounterOf(LineAddr slot, LineRecord &record,
-                      std::uint64_t counter);
+    void setCounterOf(LineRecord &record, std::uint64_t counter);
 
     /**
      * Charges the metadata access that fetches slot @p slot's counter
@@ -360,8 +360,8 @@ class DedupEngine
     HashStore hashStore_{ lines_ };
     FreeSpaceTable fsm_;
 
-    /** Counters homeless in both tables (rare corner; see DESIGN.md). */
-    FlatMap<LineAddr, std::uint64_t> overflow_;
+    /** Records whose counter is spilled (overflowCounters()). */
+    std::size_t spilledCounters_ = 0;
 
     /**
      * Per-line major counters (split-counter overflow handling). Only

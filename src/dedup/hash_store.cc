@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace dewrite {
@@ -29,8 +30,12 @@ HashStore::lookup(std::uint64_t hash) const
 void
 HashStore::append(Chain &chain, LineAddr slot)
 {
+    DEWRITE_DCHECK(slot < PagedArray<LineRecord>::kMaxDirectEntries,
+                   "hash store: slot %llu outside the direct range",
+                   static_cast<unsigned long long>(slot));
+    const auto id = static_cast<std::uint32_t>(slot);
     if (chain.count < Chain::kInline) {
-        chain.inlineSlots[chain.count++] = slot;
+        chain.inlineSlots[chain.count++] = id;
         return;
     }
     if (chain.count == Chain::kInline) {
@@ -51,7 +56,7 @@ HashStore::append(Chain &chain, LineAddr slot)
                                         chain.inlineSlots + Chain::kInline);
     }
     // dewrite-analyze: allow(hot-path-purity) spill-vector append, rare (chains > 2 entries)
-    spills_[chain.spillSlot].push_back(slot);
+    spills_[chain.spillSlot].push_back(id);
     ++chain.count;
 }
 
@@ -74,7 +79,7 @@ HashStore::remove(Chain &chain, LineAddr slot)
         --chain.count;
         return;
     }
-    std::vector<LineAddr> &spill = spills_[chain.spillSlot];
+    std::vector<std::uint32_t> &spill = spills_[chain.spillSlot];
     spill.erase(spill.begin() + static_cast<std::ptrdiff_t>(i));
     if (--chain.count == Chain::kInline) {
         // Back to the inline buffer; the vector returns to the pool.
@@ -192,7 +197,7 @@ HashStore::clear()
 {
     // dewrite-lint: allow(unsorted-iteration) every record is reset
     chains_.forEach([&](std::uint64_t, const Chain &chain) {
-        for (const LineAddr slot : view(chain)) {
+        for (const std::uint32_t slot : view(chain)) {
             LineRecord &record = lines_.ref(slot);
             record.reference_ = 0;
             record.strongValid_ = false;

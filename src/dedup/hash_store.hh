@@ -21,9 +21,10 @@
  * gives measured lengths); the newest-first probe reaches the one
  * record with spare references first.
  *
- * Storage is a FlatMap from hash to a small-buffer chain: chains of up
- * to two slots live inline in the map slot, longer ones move whole to a
- * pooled vector. Erase preserves append order.
+ * Storage is a FlatMap from hash to a small-buffer chain of 32-bit slot
+ * ids (every slot is below LineTable's 2^26 direct range): chains of up
+ * to two slots live inline in the 32-byte map slot, longer ones move
+ * whole to a pooled vector. Erase preserves append order.
  */
 
 #ifndef DEWRITE_DEDUP_HASH_STORE_HH
@@ -56,7 +57,7 @@ struct HashEntry
  * One hash's chain of slots in append order (index 0 oldest). Valid
  * until the next HashStore mutation.
  */
-using ChainView = std::span<const LineAddr>;
+using ChainView = std::span<const std::uint32_t>;
 
 class HashStore
 {
@@ -176,7 +177,7 @@ class HashStore
     forEach(Visitor &&visit) const
     {
         chains_.forEachSorted([&](std::uint64_t hash, const Chain &chain) {
-            for (const LineAddr slot : view(chain))
+            for (const std::uint32_t slot : view(chain))
                 visit(hash, HashEntry{ slot, lines_.at(slot).reference() });
         });
     }
@@ -184,16 +185,18 @@ class HashStore
   private:
     /**
      * One hash's slots: held inline while they fit, otherwise all of
-     * them in spills_[spillSlot].
+     * them in spills_[spillSlot]. 16 bytes, so a FlatMap slot (hash,
+     * chain, used flag) is 32 and none straddles a host cache line.
      */
     struct Chain
     {
         static constexpr std::uint32_t kInline = 2;
 
-        LineAddr inlineSlots[kInline];
+        std::uint32_t inlineSlots[kInline];
         std::uint32_t count = 0;
         std::uint32_t spillSlot = 0; // Valid only while count > kInline.
     };
+    static_assert(sizeof(Chain) == 16);
 
     ChainView view(const Chain &chain) const;
     void append(Chain &chain, LineAddr slot);
@@ -201,7 +204,7 @@ class HashStore
 
     LineTable &lines_;
     FlatMap<std::uint64_t, Chain> chains_;
-    std::vector<std::vector<LineAddr>> spills_;
+    std::vector<std::vector<std::uint32_t>> spills_;
     std::vector<std::uint32_t> freeSpills_;
     /** Strong fingerprints by slot; only the weak+strong tiers fill it. */
     PagedArray<StrongFp> strongFps_;

@@ -20,7 +20,8 @@
  * remapped and an inverted-hash entry that holds no data are "null";
  * slot L's encryption counter lives in the first null one of the two
  * (counterHome()). When both are occupied the engine spills the counter
- * to its overflow store.
+ * into the record's own spill field (spill()), so every home of slot
+ * L's counter is in the record the write path already holds.
  */
 
 #ifndef DEWRITE_DEDUP_LINE_TABLE_HH
@@ -105,7 +106,7 @@ class LineRecord
     /**
      * Where slot L's counter lives: the mapping entry when it is null,
      * else the inverted-hash entry when that is null, else nullptr (the
-     * caller's overflow store).
+     * spill field).
      */
     const std::uint64_t *
     counterHome() const
@@ -121,6 +122,28 @@ class LineRecord
         return const_cast<std::uint64_t *>(
             static_cast<const LineRecord *>(this)->counterHome());
     }
+
+    /**
+     * @{ Spill field: slot L's counter while both entries are occupied.
+     * The engine keeps spilled() true exactly while the counter lives
+     * here; a spilled counter is a minor counter, at most 32 bits wide.
+     */
+    bool spilled() const { return spilled_; }
+    /** The spilled counter, or 0 when nothing is spilled. */
+    std::uint32_t spilledCounter() const { return spill_; }
+    void
+    spill(std::uint32_t counter)
+    {
+        spilled_ = true;
+        spill_ = counter;
+    }
+    void
+    unspill()
+    {
+        spilled_ = false;
+        spill_ = 0;
+    }
+    /** @} */
 
     /** @{ Functional validity: logical line L was ever written. */
     bool written() const { return written_; }
@@ -148,7 +171,9 @@ class LineRecord
     bool written_ = false;
     std::uint8_t reference_ = 0;
     bool strongValid_ = false;
-    std::uint8_t padding_[11] = {}; //!< Rounds the record up to 32 bytes.
+    bool spilled_ = false;
+    std::uint32_t spill_ = 0; //!< Slot L's counter while spilled_.
+    std::uint8_t padding_[4] = {}; //!< Rounds the record up to 32 bytes.
 };
 
 /**

@@ -228,30 +228,30 @@ MetadataAuditor::check() const
         }
     }
 
-    // 5. Counter colocation: an overflow entry is legal only while
+    // 5. Counter colocation: a spilled counter is legal only while
     //    both of slot S's potential homes are occupied — otherwise the
     //    counter is double-homed (the table home would read 0/stale
-    //    while the overflow value is live).
-    engine_.overflow_.forEachSorted(
-        [&](LineAddr slot, std::uint64_t counter) {
-            if (first)
-                return;
-            const LineRecord &record = lines.at(slot);
-            const bool mapping_home_free = !record.isRemapped();
-            const bool inv_home_free = !record.holdsData();
-            if (mapping_home_free || inv_home_free) {
-                AuditViolation v;
-                v.invariant = AuditInvariant::CounterSingleHome;
-                v.slot = slot;
-                v.actual = counter;
-                v.detail = formatDetail(
-                    "slot %llu's counter %llu sits in the overflow "
-                    "store while its %s entry is a free home",
-                    u(slot), u(counter),
-                    mapping_home_free ? "mapping" : "inverted-hash");
-                report(std::move(v));
-            }
-        });
+    //    while the spilled value is live). LineTable::forEach walks
+    //    ascending slots.
+    // dewrite-lint: allow(unsorted-iteration)
+    lines.forEach([&](LineAddr slot, const LineRecord &record) {
+        if (first || !record.spilled())
+            return;
+        const bool mapping_home_free = !record.isRemapped();
+        const bool inv_home_free = !record.holdsData();
+        if (mapping_home_free || inv_home_free) {
+            AuditViolation v;
+            v.invariant = AuditInvariant::CounterSingleHome;
+            v.slot = slot;
+            v.actual = record.spilledCounter();
+            v.detail = formatDetail(
+                "slot %llu's counter %llu is spilled while its %s "
+                "entry is a free home",
+                u(slot), u(record.spilledCounter()),
+                mapping_home_free ? "mapping" : "inverted-hash");
+            report(std::move(v));
+        }
+    });
 
     return first;
 }

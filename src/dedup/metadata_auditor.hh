@@ -58,7 +58,7 @@ enum class AuditInvariant
      *  slots as allocated. */
     FsmMatchesDataSlots,
     /** A slot's encryption counter must live in exactly one home:
-     *  overflow entries may exist only while both the mapping and
+     *  it may be spilled only while both the mapping and
      *  inverted-hash entries of the slot are occupied. */
     CounterSingleHome,
     /** A hash-store record whose strong-fingerprint flag is valid must

@@ -112,9 +112,9 @@ RecoveryManager::rebuild()
         });
     for (LineAddr slot : orphaned) {
         LineRecord &record = engine_.lines_.ref(slot);
-        const std::uint64_t counter = engine_.counterOf(slot, record);
+        const std::uint64_t counter = engine_.counterOf(record);
         record.clearHash();
-        engine_.setCounterOf(slot, record, counter);
+        engine_.setCounterOf(record, counter);
     }
 
     // Scan-time estimate: one sequential pass over the two durable

@@ -75,7 +75,7 @@ NvmDevice::write(LineAddr addr, const Line &data, Time now,
     numWrites_.increment();
     energy_ += config_.energy.nvmWritePerBit * bits_written;
     wear_.recordWrite(addr, bits_written);
-    store_.refForWrite(addr) = data;
+    store_.storeStreaming(addr, data);
     return { svc.start, svc.complete, svc.queueDelay };
 }
 

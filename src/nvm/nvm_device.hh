@@ -81,6 +81,9 @@ class NvmDevice
     /**
      * Writes @p data to @p addr, issued at @p now, programming
      * @p bits_written cells (pass kLineBits for a full-line write).
+     * The content is streamed (DenseLineStore::storeStreaming): a
+     * thread other than the writer may peek at it only after the
+     * writer's fenceStreamedLines().
      */
     NvmTiming write(LineAddr addr, const Line &data, Time now,
                     std::size_t bits_written = kLineBits);

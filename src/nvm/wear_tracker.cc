@@ -7,14 +7,16 @@
 
 #include <algorithm>
 
+#include "common/check.hh"
+
 namespace dewrite {
 
 void
 WearTracker::recordWrite(LineAddr addr, std::size_t bits_written)
 {
-    std::uint64_t &writes = lineWrites_.ref(addr);
+    std::uint32_t &writes = lineWrites_.ref(addr);
     linesTouched_ += writes == 0 ? 1 : 0;
-    const std::uint64_t count = ++writes;
+    const std::uint64_t count = checkedIncrement(writes, "wear count", addr);
     maxLineWrites_ = std::max(maxLineWrites_, count);
     ++totalWrites_;
     totalBits_ += bits_written;

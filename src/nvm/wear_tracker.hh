@@ -4,9 +4,11 @@
  *
  * PCM cells endure ~1e7–1e8 writes; DeWrite's write elimination extends
  * lifetime proportionally. The tracker records per-line write counts
- * (sparse: only lines ever written) and projects module lifetime under
- * an idealized wear-leveling assumption, which is the standard way the
- * endurance literature normalizes comparisons.
+ * (sparse: only lines ever written; 32 bits each, which no cell's
+ * endurance approaches, and a count that would wrap panics) and
+ * projects module lifetime under an idealized wear-leveling assumption,
+ * which is the standard way the endurance literature normalizes
+ * comparisons.
  */
 
 #ifndef DEWRITE_NVM_WEAR_TRACKER_HH
@@ -82,7 +84,7 @@ class WearTracker
     }
 
   private:
-    PagedArray<std::uint64_t> lineWrites_;
+    PagedArray<std::uint32_t> lineWrites_;
     std::size_t linesTouched_ = 0;
     std::uint64_t totalWrites_ = 0;
     std::uint64_t totalBits_ = 0;

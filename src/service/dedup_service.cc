@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/check.hh"
+#include "common/dense_line_store.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/app_catalog.hh"
 
@@ -169,11 +170,13 @@ DedupService::run()
             shard.events += buffer.size();
             // One task per shard per round: the task is the only
             // toucher of its shard until wait(), so the drain needs no
-            // synchronization at all.
+            // synchronization beyond ordering its streamed device lines
+            // before the task ends (the next round may run elsewhere).
             Shard *owned = &shard;
             pool_.submit([owned, side] {
                 owned->core->feed(owned->buffers[side].data(),
                                   owned->buffers[side].size());
+                fenceStreamedLines();
             });
         }
         roundsIngested_.increment();

@@ -5,6 +5,7 @@
 
 #include "sim/system.hh"
 
+#include "common/dense_line_store.hh"
 #include "common/logging.hh"
 #include "controller/plain_controller.hh"
 #include "dedup/metadata_auditor.hh"
@@ -90,6 +91,9 @@ System::finishRun(RunResult run) const
         dynamic_cast<const DeWriteController *>(controller_.get());
     if (auditEnabled() && dewrite)
         dewrite->auditNow("run-end");
+    // The run's streamed device lines must be visible before a runner
+    // or service thread hands this System to another thread.
+    fenceStreamedLines();
     return run;
 }
 

@@ -2,12 +2,15 @@
  * @file
  * DEWRITE_CHECK / DEWRITE_DCHECK tests: passing checks are free and
  * side-effect-exact, failing checks abort with file, line, condition
- * text, and the formatted context.
+ * text, and the formatted context. checkedIncrement, which guards the
+ * 32-bit per-line counts, dies at UINT32_MAX.
  */
 
 #include "common/check.hh"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 namespace dewrite {
 namespace {
@@ -40,6 +43,16 @@ TEST(CheckDeathTest, FailureReportsConditionAndContext)
     EXPECT_DEATH(DEWRITE_CHECK(slot == 0, "slot %d is not home", slot),
                  "DEWRITE_CHECK failed.*check_test.*slot == 0.*"
                  "slot 17 is not home");
+}
+
+TEST(CheckDeathTest, CheckedIncrementDiesInsteadOfWrapping)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    std::uint32_t count = UINT32_MAX - 1;
+    EXPECT_EQ(checkedIncrement(count, "wear count", 3), UINT32_MAX);
+    EXPECT_EQ(count, UINT32_MAX);
+    EXPECT_DEATH(checkedIncrement(count, "wear count", 3),
+                 "wear count of line 3 would wrap");
 }
 
 #if !defined(NDEBUG) || defined(DEWRITE_FORCE_DCHECKS)

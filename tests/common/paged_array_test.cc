@@ -168,6 +168,20 @@ TEST(DenseLineStore, OverflowAboveDirectRange)
     EXPECT_EQ(store.find(huge)->word64(0), 11u);
     EXPECT_EQ(store.overflowSize(), 1u);
     EXPECT_EQ(store.writtenCount(), 1u);
+
+    // storeStreaming's plain-copy fallback (overflow) and its streamed
+    // direct path both read back exactly.
+    Rng rng(0x57ea);
+    const Line spilled = Line::random(rng);
+    const Line direct = Line::random(rng);
+    store.storeStreaming(huge + 1, spilled);
+    store.storeStreaming(9, direct);
+    ASSERT_NE(store.find(huge + 1), nullptr);
+    ASSERT_NE(store.find(9), nullptr);
+    EXPECT_EQ(*store.find(huge + 1), spilled);
+    EXPECT_EQ(*store.find(9), direct);
+    EXPECT_EQ(store.overflowSize(), 2u);
+    EXPECT_EQ(store.writtenCount(), 3u);
 }
 
 TEST(DenseLineStore, ForEachWrittenAscending)

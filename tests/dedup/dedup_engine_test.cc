@@ -14,6 +14,7 @@
 #include "common/crc32.hh"
 #include "common/hash_latency.hh"
 #include "common/rng.hh"
+#include "dedup/metadata_auditor.hh"
 #include "nvm/nvm_device.hh"
 #include "sim/system.hh"
 
@@ -304,6 +305,63 @@ TEST_F(DedupEngineTest, CountersNeverRegress)
         EXPECT_GE(current, last);
         last = current;
     }
+}
+
+// Slot 1's counter spills into its record once logical 1 is remapped
+// while slot 1 still holds data another line shares, keeps its value
+// there, and moves back to a table home when the data dies.
+TEST_F(DedupEngineTest, SpilledCounterRoundTripsThroughTheRecord)
+{
+    Rng rng(82);
+    const Line shared = Line::random(rng);
+    const Line other = Line::random(rng);
+    writeLine(1, shared);
+    writeLine(2, shared); // Slot 1 referenced by lines 1 and 2.
+    writeLine(3, other);
+    const std::uint64_t counter = engine_.counterOf(1);
+    ASSERT_NE(counter, 0u);
+    EXPECT_EQ(engine_.overflowCounters(), 0u);
+
+    // Line 1 joins slot 3; slot 1 keeps line 2's data, so both of slot
+    // 1's homes are occupied.
+    writeLine(1, other);
+    const LineRecord &record = engine_.lines().at(1);
+    ASSERT_TRUE(record.isRemapped());
+    ASSERT_TRUE(record.holdsData());
+    EXPECT_EQ(record.counterHome(), nullptr);
+    EXPECT_TRUE(record.spilled());
+    EXPECT_EQ(engine_.overflowCounters(), 1u);
+    EXPECT_EQ(engine_.counterOf(1), counter);
+    EXPECT_FALSE(MetadataAuditor(engine_).check().has_value());
+    EXPECT_EQ(readLine(1), other);
+    EXPECT_EQ(readLine(2), shared);
+
+    // Line 2 moves on: slot 1's data dies, its inverted-hash entry
+    // becomes the counter's home again.
+    const Line fresh = Line::random(rng);
+    writeLine(2, fresh);
+    EXPECT_FALSE(record.holdsData());
+    EXPECT_FALSE(record.spilled());
+    ASSERT_NE(record.counterHome(), nullptr);
+    EXPECT_EQ(engine_.overflowCounters(), 0u);
+    EXPECT_EQ(engine_.counterOf(1), counter);
+    EXPECT_FALSE(MetadataAuditor(engine_).check().has_value());
+    EXPECT_EQ(readLine(1), other);
+    EXPECT_EQ(readLine(2), fresh);
+}
+
+TEST(DedupEngineDeathTest, CountersWiderThanTheSpillFieldAreFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    SystemConfig config;
+    config.memory.numLines = 1 << 10;
+    NvmDevice device(config);
+    CounterModeEngine cme(AesKey{});
+    MetadataCache metadata(config, device, config.memory.numLines);
+    DedupEngine::Options options;
+    options.counterBits = 33;
+    EXPECT_DEATH(DedupEngine(config, device, metadata, cme, options),
+                 "spill field");
 }
 
 TEST_F(DedupEngineTest, DetectLatencyReflectsAsymmetricCost)

@@ -158,9 +158,9 @@ TEST(LineTableTest, RecordsNeverStraddleACacheLine)
     }
 }
 
-// One line's mapping entry, inverted-hash entry, written flag and
-// hash-store record share a record: updating any one of them must leave
-// the others intact.
+// One line's mapping entry, inverted-hash entry, spilled counter,
+// written flag and hash-store record share a record: updating any one
+// of them must leave the others intact.
 TEST(LineTableTest, FieldsOfOneLineNeverOverwriteEachOther)
 {
     LineTable lines;
@@ -175,9 +175,12 @@ TEST(LineTableTest, FieldsOfOneLineNeverOverwriteEachOther)
     store.insert(0x2222, line, record);
     ASSERT_TRUE(store.addReference(record));
     store.setStrongFp(line, fp);
+    record.spill(0x5555);
 
     const auto expectAll = [&](const char *step) {
         SCOPED_TRACE(step);
+        EXPECT_TRUE(record.spilled());
+        EXPECT_EQ(record.spilledCounter(), 0x5555u);
         EXPECT_TRUE(record.isRemapped());
         EXPECT_EQ(record.realAddr(), 0x1111u);
         EXPECT_TRUE(record.holdsData());
@@ -196,6 +199,7 @@ TEST(LineTableTest, FieldsOfOneLineNeverOverwriteEachOther)
     before.remap(~0ULL);
     before.setHash(~0ULL);
     before.markWritten();
+    before.spill(~0U);
     after.remap(~0ULL);
     after.setHash(~0ULL);
     store.insert(~0ULL, line + 1, after);

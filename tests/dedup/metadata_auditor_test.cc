@@ -38,10 +38,6 @@ class MetadataAuditorTestPeer
         return e.lines_.ref(addr);
     }
     static FreeSpaceTable &fsm(DedupEngine &e) { return e.fsm_; }
-    static FlatMap<LineAddr, std::uint64_t> &overflow(DedupEngine &e)
-    {
-        return e.overflow_;
-    }
     static Line decryptStored(DedupEngine &e, LineAddr slot)
     {
         return e.decryptStored(slot);
@@ -173,11 +169,11 @@ TEST_F(MetadataAuditorTest, DoubleHomedCounterIsNamed)
 {
     populate();
     // Slot 10 keeps its own data, so its counter home is its (null)
-    // mapping entry. A stale overflow entry for it means the counter
-    // is double-homed.
+    // mapping entry. A stale spilled counter in its record means the
+    // counter is double-homed.
     const LineAddr slot = 10;
     ASSERT_FALSE(engine_.lines().at(slot).isRemapped());
-    MetadataAuditorTestPeer::overflow(engine_)[slot] = 7;
+    MetadataAuditorTestPeer::line(engine_, slot).spill(7);
     const auto violation = MetadataAuditor(engine_).check();
     ASSERT_TRUE(violation.has_value());
     EXPECT_EQ(violation->invariant, AuditInvariant::CounterSingleHome);
