@@ -49,10 +49,10 @@ SetAssocCache::setIndex(std::uint64_t key) const
     return setDiv_.mod(mixKey(key));
 }
 
+// dewrite-lint: hot
 bool
 SetAssocCache::access(std::uint64_t key, bool make_dirty)
 {
-    // dewrite-lint: hot
     const std::size_t base = setIndex(key) * associativity_;
     for (unsigned w = 0; w < associativity_; ++w) {
         const std::size_t slot = base + w;

@@ -3,6 +3,10 @@
  * DEWRITE_CHECK failure reporting.
  */
 
+// dewrite-analyze: allow-file(hot-path-purity) checkFailed is the
+// failure path of every DEWRITE_CHECK, including those in hot kernels:
+// it formats one report and panics, so it allocates at most once.
+
 #include "common/check.hh"
 
 #include <cstdarg>

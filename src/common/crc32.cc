@@ -291,16 +291,4 @@ crc32cReference(const std::uint8_t *data, std::size_t size)
            0xffffffffu;
 }
 
-bool
-crc32UsesClmul()
-{
-    return kUseClmul;
-}
-
-bool
-crc32cUsesSse42()
-{
-    return kUseSse42Crc;
-}
-
 } // namespace dewrite

@@ -55,11 +55,6 @@ std::uint32_t crc32c(const Line &line);
 /** Bytewise table CRC-32C reference for cross-checking. */
 std::uint32_t crc32cReference(const std::uint8_t *data, std::size_t size);
 
-/** @{ Which hardware fast path the running CPU dispatched to. */
-bool crc32UsesClmul();  //!< PCLMULQDQ folding active for crc32().
-bool crc32cUsesSse42(); //!< _mm_crc32_u64 active for crc32c().
-/** @} */
-
 } // namespace dewrite
 
 #endif // DEWRITE_COMMON_CRC32_HH

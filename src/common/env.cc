@@ -1,7 +1,7 @@
 /**
  * @file
  * Environment helpers implementation — the only std::getenv call sites
- * in the tree (enforced by dewrite-lint's env-validation rule).
+ * in the tree (enforced by dewrite-analyze's env-getenv-funnel rule).
  */
 
 #include "common/env.hh"
@@ -65,8 +65,8 @@ envUint(const char *name, std::uint64_t fallback, std::uint64_t min,
 const std::vector<const char *> &
 knownKnobs()
 {
-    // Keep sorted and in lockstep with KNOWN_KNOBS in
-    // tools/dewrite_lint.py (the lint cross-checks this list).
+    // Keep sorted; tools/dewrite_analyze.py reads its catalogue from
+    // the names listed here.
     static const std::vector<const char *> knobs = {
         "DEWRITE_AUDIT",
         "DEWRITE_AUDIT_EPOCH",

@@ -5,10 +5,10 @@
  * Every configuration knob the simulator reads from the environment
  * goes through these helpers so that a typo'd value dies loudly with
  * the variable name and the accepted range instead of being silently
- * misparsed (strtoull happily reads "12k" as 12). dewrite-lint's
- * env-validation rule enforces the funnel: std::getenv may appear only
- * in this module, so a new DEWRITE_* variable cannot ship without
- * strict parsing.
+ * misparsed (strtoull happily reads "12k" as 12). dewrite-analyze's
+ * env rules enforce the funnel: std::getenv may appear only in this
+ * module, so a new DEWRITE_* variable cannot ship without strict
+ * parsing.
  *
  * All helpers latch nothing: they re-read the environment on every
  * call, which keeps them testable with setenv/unsetenv.
@@ -48,10 +48,10 @@ std::uint64_t envUint(const char *name, std::uint64_t fallback,
                       std::uint64_t min, std::uint64_t max);
 
 /**
- * Every DEWRITE_* environment knob the simulator recognizes, sorted.
- * Mirrors (and is cross-checked by dewrite-lint against) the
- * KNOWN_KNOBS catalogue in tools/dewrite_lint.py; rejectUnknownKnobs()
- * refuses any other DEWRITE_* name.
+ * Every DEWRITE_* environment knob the simulator recognizes, sorted:
+ * the one knob catalogue. rejectUnknownKnobs() refuses any other
+ * DEWRITE_* name at run time, and dewrite-analyze's env-knob-registry
+ * rule refuses any other name passed to an env call in the tree.
  */
 const std::vector<const char *> &knownKnobs();
 

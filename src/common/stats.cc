@@ -5,32 +5,7 @@
 
 #include "common/stats.hh"
 
-#include <algorithm>
-
 namespace dewrite {
-
-void
-Accumulator::add(double sample)
-{
-    if (count_ == 0) {
-        min_ = sample;
-        max_ = sample;
-    } else {
-        min_ = std::min(min_, sample);
-        max_ = std::max(max_, sample);
-    }
-    ++count_;
-    sum_ += sample;
-}
-
-void
-Accumulator::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
 
 void
 StatSet::set(const std::string &name, double value)

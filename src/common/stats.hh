@@ -1,6 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: named counters and means.
+ * Lightweight statistics primitives: event counters and a flat set of
+ * named results.
  *
  * Every simulated component accumulates its activity in Stat objects;
  * the experiment harnesses read them back to print the paper's tables
@@ -26,27 +27,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Accumulates samples; reports count / sum / mean / min / max. */
-class Accumulator
-{
-  public:
-    void add(double sample);
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    void reset();
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /**

@@ -33,10 +33,10 @@ MemController::registerMetrics(obs::MetricRegistry &registry) const
               "duplicate writes never programmed");
     c.counter("data_bits_programmed", dataBitsProgrammed_,
               "cells programmed by data writes");
-    c.accumulator("write_latency_ps", writeLatency_,
-                  "write-back latency (mean)");
-    c.accumulator("read_latency_ps", readLatency_,
-                  "fetch latency (mean)");
+    c.gauge("write_latency_ps", [this] { return avgWriteLatency(); },
+            "write-back latency (mean)");
+    c.gauge("read_latency_ps", [this] { return avgReadLatency(); },
+            "fetch latency (mean)");
 
     // Quantile views over the base-class histograms. Registered here
     // so every scheme exposes identical paths (scheme-comparable);
@@ -58,8 +58,8 @@ MemController::registerMetrics(obs::MetricRegistry &registry) const
                     [h] { return static_cast<double>(h->max()); },
                     "maximum request latency (ps)");
     };
-    quantiles(c.scope("write_latency"), writeLatencyHist_);
-    quantiles(c.scope("read_latency"), readLatencyHist_);
+    quantiles(c.scope("write_latency"), writeLatency_);
+    quantiles(c.scope("read_latency"), readLatency_);
     c.gauge("energy_pj",
             [this] { return static_cast<double>(controllerEnergy()); },
             "controller-side energy");

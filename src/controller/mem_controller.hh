@@ -142,8 +142,7 @@ class MemController
         writeRequests_.increment();
         if (eliminated)
             writesEliminated_.increment();
-        writeLatency_.add(static_cast<double>(latency));
-        writeLatencyHist_.record(latency);
+        writeLatency_.record(latency);
         dataBitsProgrammed_.increment(bits_programmed);
     }
 
@@ -151,8 +150,7 @@ class MemController
     noteRead(Time latency)
     {
         readRequests_.increment();
-        readLatency_.add(static_cast<double>(latency));
-        readLatencyHist_.record(latency);
+        readLatency_.record(latency);
     }
 
   private:
@@ -160,13 +158,13 @@ class MemController
     Counter readRequests_;
     Counter writesEliminated_;
     Counter dataBitsProgrammed_;
-    Accumulator writeLatency_;
-    Accumulator readLatency_;
     /** Full latency distributions, recorded here for every scheme so
-     * each exports the same "controller.{write,read}_latency.*"
-     * quantile paths and registry snapshots stay scheme-comparable. */
-    obs::LatencyHistogram writeLatencyHist_;
-    obs::LatencyHistogram readLatencyHist_;
+     * each exports the same "controller.{write,read}_latency*" mean
+     * and quantile paths and registry snapshots stay scheme-comparable.
+     * The means are exact: sums of whole picoseconds below 2^53 ps
+     * convert to double without rounding. */
+    obs::LatencyHistogram writeLatency_;
+    obs::LatencyHistogram readLatency_;
 };
 
 } // namespace dewrite

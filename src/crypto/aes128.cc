@@ -263,12 +263,6 @@ Aes128::expandKey(const AesKey &key)
     }
 }
 
-bool
-Aes128::usesAesni()
-{
-    return kUseAesni;
-}
-
 AesBlock
 Aes128::encryptBlock(const AesBlock &plaintext) const
 {

@@ -67,9 +67,6 @@ class Aes128
     /** Straight-from-the-spec decryption, the cross-check oracle. */
     AesBlock decryptBlockReference(const AesBlock &ciphertext) const;
 
-    /** True when encrypt/decrypt dispatch to hardware AES-NI. */
-    static bool usesAesni();
-
   private:
     static constexpr int kRounds = 10;
 

@@ -19,8 +19,6 @@ MetricRegistry::Entry::read() const
         return static_cast<double>(counter->value());
       case MetricKind::Gauge:
         return gauge();
-      case MetricKind::Accumulator:
-        return accumulator->mean();
     }
     panic("bad metric kind");
 }
@@ -61,16 +59,6 @@ MetricRegistry::addGauge(std::string path, std::function<double()> fn,
     insert(std::move(path), std::move(desc), std::move(legacy),
            MetricKind::Gauge)
         .gauge = std::move(fn);
-}
-
-void
-MetricRegistry::addAccumulator(std::string path,
-                               const dewrite::Accumulator &accumulator,
-                               std::string desc, std::string legacy)
-{
-    insert(std::move(path), std::move(desc), std::move(legacy),
-           MetricKind::Accumulator)
-        .accumulator = &accumulator;
 }
 
 void

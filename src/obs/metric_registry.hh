@@ -3,7 +3,7 @@
  * Hierarchical metric registry: every component's counters under one
  * dotted namespace.
  *
- * Components own their stat primitives (Counter / Accumulator from
+ * Components own their stat primitives (a Counter from
  * common/stats.hh, or a computed gauge) exactly as before; the
  * registry holds typed, non-owning references to them under component
  * paths ("controller.dedup.duplicate_commits",
@@ -41,7 +41,6 @@ enum class MetricKind : std::uint8_t
 {
     Counter,
     Gauge,
-    Accumulator,
 };
 
 /** One read-only view of a registered metric at snapshot time. */
@@ -49,7 +48,7 @@ struct MetricSample
 {
     std::string path;
     MetricKind kind = MetricKind::Gauge;
-    double value = 0.0; //!< Counter/gauge value; accumulator mean.
+    double value = 0.0; //!< Counter or gauge value.
 
     bool operator==(const MetricSample &other) const = default;
 };
@@ -66,7 +65,6 @@ class MetricRegistry
         MetricKind kind = MetricKind::Gauge;
 
         const dewrite::Counter *counter = nullptr;
-        const dewrite::Accumulator *accumulator = nullptr;
         std::function<double()> gauge;
 
         /** Primary scalar of the metric (see MetricSample::value). */
@@ -78,9 +76,6 @@ class MetricRegistry
                     std::string desc, std::string legacy = "");
     void addGauge(std::string path, std::function<double()> fn,
                   std::string desc, std::string legacy = "");
-    void addAccumulator(std::string path,
-                        const dewrite::Accumulator &accumulator,
-                        std::string desc, std::string legacy = "");
     /** @} */
 
     /**
@@ -130,14 +125,6 @@ class MetricRegistry
         {
             registry_.addGauge(prefix_ + "." + name, std::move(fn),
                                std::move(desc), std::move(legacy));
-        }
-
-        void accumulator(const std::string &name,
-                         const dewrite::Accumulator &a, std::string desc,
-                         std::string legacy = "")
-        {
-            registry_.addAccumulator(prefix_ + "." + name, a,
-                                     std::move(desc), std::move(legacy));
         }
 
         const std::string &prefix() const { return prefix_; }

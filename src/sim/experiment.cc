@@ -116,14 +116,6 @@ detectionSignature(const ExperimentResult &cell)
     return sig;
 }
 
-std::uint32_t
-detectionFingerprint(const ExperimentResult &cell)
-{
-    const std::string sig = detectionSignature(cell);
-    return crc32(reinterpret_cast<const std::uint8_t *>(sig.data()),
-                 sig.size());
-}
-
 std::uint64_t
 experimentEvents()
 {

@@ -68,9 +68,6 @@ std::uint32_t resultFingerprint(const ExperimentResult &cell);
  */
 std::string detectionSignature(const ExperimentResult &cell);
 
-/** CRC-32 of detectionSignature(). */
-std::uint32_t detectionFingerprint(const ExperimentResult &cell);
-
 /** Upper bound accepted from DEWRITE_EVENTS (a guard against typos
  * requesting effectively-infinite runs, not a simulator limit). */
 constexpr std::uint64_t kMaxExperimentEvents = 1ULL << 40;

@@ -21,64 +21,6 @@ TEST(CounterTest, IncrementAndReset)
     EXPECT_EQ(counter.value(), 0u);
 }
 
-TEST(AccumulatorTest, EmptyIsAllZero)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_EQ(acc.mean(), 0.0);
-    EXPECT_EQ(acc.min(), 0.0);
-    EXPECT_EQ(acc.max(), 0.0);
-}
-
-TEST(AccumulatorTest, TracksMoments)
-{
-    Accumulator acc;
-    acc.add(2.0);
-    acc.add(4.0);
-    acc.add(9.0);
-    EXPECT_EQ(acc.count(), 3u);
-    EXPECT_DOUBLE_EQ(acc.sum(), 15.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-}
-
-TEST(AccumulatorTest, SingleNegativeSample)
-{
-    Accumulator acc;
-    acc.add(-3.0);
-    EXPECT_DOUBLE_EQ(acc.min(), -3.0);
-    EXPECT_DOUBLE_EQ(acc.max(), -3.0);
-}
-
-TEST(AccumulatorTest, AllNegativeSamplesKeepSignedMinMax)
-{
-    Accumulator acc;
-    acc.add(-5.0);
-    acc.add(-1.0);
-    acc.add(-9.0);
-    EXPECT_DOUBLE_EQ(acc.min(), -9.0);
-    EXPECT_DOUBLE_EQ(acc.max(), -1.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), -5.0);
-}
-
-TEST(AccumulatorTest, ResetClearsAndNextSampleReseedsMinMax)
-{
-    Accumulator acc;
-    acc.add(-7.0);
-    acc.add(100.0);
-    acc.reset();
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_EQ(acc.sum(), 0.0);
-    EXPECT_EQ(acc.min(), 0.0);
-    EXPECT_EQ(acc.max(), 0.0);
-
-    // Stale extremes must not leak into the fresh window.
-    acc.add(5.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 5.0);
-}
-
 TEST(StatSetTest, SetGetHasAdd)
 {
     StatSet stats;

@@ -19,19 +19,14 @@ TEST(MetricRegistryTest, ReadsEachKind)
 {
     Counter counter;
     counter.increment(7);
-    Accumulator acc;
-    acc.add(2.0);
-    acc.add(4.0);
 
     MetricRegistry registry;
     registry.addCounter("a.counter", counter, "events");
     registry.addGauge("a.gauge", [] { return 0.25; }, "ratio");
-    registry.addAccumulator("a.acc", acc, "latency");
 
-    EXPECT_EQ(registry.size(), 3u);
+    EXPECT_EQ(registry.size(), 2u);
     EXPECT_EQ(registry.find("a.counter")->read(), 7.0);
     EXPECT_EQ(registry.find("a.gauge")->read(), 0.25);
-    EXPECT_EQ(registry.find("a.acc")->read(), 3.0); // Mean.
 }
 
 TEST(MetricRegistryTest, ReadsAreLiveNotCopies)

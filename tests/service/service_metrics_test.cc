@@ -116,8 +116,8 @@ TEST(PipelineMetrics, LatencyQuantilesShareOnePathAcrossSchemes)
         EXPECT_GT(p50, 0.0) << detailed.result.scheme;
         EXPECT_LE(p50, p99) << detailed.result.scheme;
         EXPECT_LE(p99, max) << detailed.result.scheme;
-        // And the histogram agrees with the exact accumulator mean's
-        // order of magnitude: the mean must sit within [min, max].
+        // And the mean, read from the same histogram, sits at or
+        // below its maximum.
         EXPECT_LE(sampleValue(samples,
                               "controller.write_latency_ps"),
                   max)

@@ -1,114 +1,169 @@
 #!/usr/bin/env python3
-"""dewrite-analyze: whole-tree shard-isolation / purity / layering prover.
+"""dewrite-analyze: the DeWrite simulator's repo-specific static checker.
 
-Where dewrite_lint.py checks single lines and clang-tidy checks single
-translation units, this tool builds a *whole-tree* call graph and
-include graph over ``src/`` and proves reachability properties that no
-lexical rule can express (DESIGN.md §5i):
+One pass over the .cc/.cpp/.hh files under src/, tests/, bench/ and
+examples/ checks eleven rules that encode *project* policy, which
+clang-tidy has no names for (DESIGN.md §5e). Seven rules are lexical:
+they read one line at a time, with comments and string contents
+stripped. Four read the whole src/ tree: three walk its call graph
+from annotated roots and one its include graph (DESIGN.md §5i).
 
-  shard-isolation     From the per-shard drain-task roots (functions
-                      annotated ``// dewrite-analyze:
-                      root(shard-isolation)``: the in-order core step
-                      and ShardCore's entry points), no call
-                      path reaches mutable static-storage state — a
-                      namespace-scope variable or function-local
-                      ``static`` — unless the variable is annotated
-                      with an ownership class:
-                        // dewrite-owned: shard         per-shard or
-                                                        per-thread
-                        // dewrite-owned: global-const  immutable after
-                                                        first use
-                        // dewrite-owned: sync(<lock>)  guarded by the
-                                                        named lock or
-                                                        by atomics
-                      This is the compile-time form of the guarantee
-                      the service's parity fingerprints and TSan only
-                      check observationally: shard drain tasks share no
-                      mutable state.
-  hot-path-purity     Functions annotated ``// dewrite-lint: hot`` and
-                      *everything they transitively call* are free of
-                      allocation-shaped constructs (operator new,
-                      make_unique, push_back, resize, ...). The lexical
-                      hot-path-alloc rule only sees the annotated body;
-                      this rule closes it over the call graph.
-  layering            The include graph respects the module DAG
-                        common -> {crypto, obs, trace} -> nvm -> cache
-                        -> dedup -> controller -> cpu -> sim
-                        -> {service}
-                      (obs and trace are leaf utility layers: they are
-                      included by everything and include only common).
-                      A module may include itself or any strictly lower
-                      layer. Known-good back-edges carry
-                      ``// dewrite-analyze: allow(layering) <reason>``
-                      on the include line.
-  determinism         From the result-producing roots (functions
-                      annotated ``// dewrite-analyze:
-                      root(determinism)``: System::run, the core
-                      step and the ShardCore drain loop), no call
-                      path reaches wall-clock reads, rand(), or
-                      address-ordered iteration. Sites PR 4 already catalogued — a
-                      ``.forEach(`` carrying ``// dewrite-lint:
-                      allow(unsorted-iteration)`` — are trusted;
-                      deliberate host-side profiling reads carry
-                      ``// dewrite-analyze: allow(determinism)``.
+Lexical rules
+  no-std-hash-container  [src] std::unordered_{map,set,...}: iteration
+                         order and per-node allocation vary across
+                         libstdc++ versions. Use FlatMap / PagedArray /
+                         DenseAddrSet (tests/ and bench/ oracles may).
+  no-nondeterminism      [src, bench] rand(), srand(), time(),
+                         std::random_device, system_clock and
+                         pointer-keyed std::hash: every simulated result
+                         must be a function of the seed (steady_clock is
+                         fine for host profiling).
+  unsorted-iteration     [src, bench] .forEach( visits bucket order. Use
+                         forEachSorted, or allow() it with the reason the
+                         order cannot reach any output.
+  no-raw-assert          [src] assert( vanishes under NDEBUG and aborts
+                         without context. Use DEWRITE_CHECK or
+                         DEWRITE_DCHECK; static_assert is fine.
+  env-getenv-funnel      [src, tests, bench, examples] getenv( appears
+                         only in src/common/env.cc.
+  env-fail-fast          [src, bench, examples] envRaw( is reserved for
+                         src/common/env.*; parse DEWRITE_* knobs with
+                         envFlag()/envUint(), which reject bad values.
+  env-knob-registry      [src, tests, bench, examples] every DEWRITE_*
+                         name passed to envFlag/envUint/envRaw/getenv/
+                         setenv/unsetenv is an entry of knownKnobs() in
+                         src/common/env.cc, the one knob catalogue.
 
-Front-ends
-  The call graph is built from clang's ``-Xclang -ast-dump=json`` over
-  ``compile_commands.json`` when a clang binary is available
-  (``--frontend clang``; dumps are cached under --cache-dir keyed on
-  compiler, flags, the TU's content, and the full src/ header set —
-  header-defined inline functions live inside TU dumps, so a header
-  edit invalidates every dump). When clang is absent the tool
-  falls back to a built-in lexical-structural front-end
-  (``--frontend internal``) that parses the same sources directly, so
-  the prover still gates on minimal containers; ``--frontend clang``
-  without a binary skips gracefully (exit 0) and CI passes
-  ``--require`` to turn that into a hard failure, mirroring
-  run_clang_tidy.py. Both front-ends feed the same IR; annotation
-  handling and rule logic are shared, so a suppression means the same
-  thing everywhere.
+Whole-tree rules [src]
+  shard-isolation        From the per-shard roots (root(shard-isolation):
+                         the core step and ShardCore's entry points), no
+                         call path reaches mutable static-storage state
+                         (a namespace-scope variable or a function-local
+                         static) that lacks an ownership class.
+  hot-path-purity        Functions marked hot and everything they
+                         transitively call are free of allocation-shaped
+                         constructs (new, make_unique, push_back, resize,
+                         a std::vector/std::deque/std::string value or
+                         temporary, ...).
+  layering               The include graph respects the module DAG
+                           common -> {crypto, obs, trace} -> nvm -> cache
+                           -> dedup -> controller -> cpu -> sim -> service
+                         A module may include itself or a lower layer.
+  determinism            From the result-producing roots
+                         (root(determinism)), no call path reaches a
+                         wall-clock read, rand(), or a .forEach( that is
+                         not allowed as unsorted-iteration.
 
-  Call resolution is deliberately over-approximate (an unqualified call
-  resolves to every function of that name when no better match exists):
-  false reachability is suppressible with an annotation, missed
-  reachability would be a hole in the proof.
+Call graph
+  A lexical-structural parser reads function definitions, calls,
+  mutable statics and includes straight from the sources. Resolution
+  over-approximates: a member call on another object reaches every
+  method of that name; an unqualified call prefers the caller's class,
+  then its file, then every function of that name. Two edge kinds stand
+  in for what the parser cannot see: a call of a function-like macro
+  defined in src/ counts as the calls in the macro's definition (every
+  #define of that name, so both DEWRITE_DCHECK branches), and any use of
+  ==, !=, ^, [ or ( in a body reaches every definition of that operator
+  in src/ (== and != reach each other's, as C++20 rewrites one into the
+  other). A false edge costs one annotation; a missed edge would be a
+  hole in the proof.
 
-Baseline
-  Findings are gated against tools/analyze_baseline.json with the same
-  ratchet as the clang-tidy wall: the committed baseline is empty and
-  may only shrink; any new finding fails the run.
+Annotations (the prefixes dewrite-lint: and dewrite-analyze: are one)
+  // dewrite-lint: hot                     the next function is a hot root
+  // dewrite-analyze: root(<rule>)         the next function is a root of
+                                           shard-isolation or determinism
+  // dewrite-analyze: allow(<rule>, ...)   suppress on this line if
+                                           trailing code, else on the next
+                                           code line (comment lines between
+                                           are skipped, so reasons wrap)
+  // dewrite-analyze: allow-file(<rule>)   suppress in the whole file
+  // dewrite-owned: shard | global-const | sync(<lock>)
+                                           ownership class of a static
+  An annotation naming an unknown rule is itself a finding, and so is a
+  hot or root annotation inside a function body (it would mark the next
+  function instead) and a shard-isolation, hot-path-purity or
+  determinism run with no root (the proof would pass vacuously).
 
-Exit codes: 0 clean/skipped, 1 findings or seeded-break failure,
-2 usage/environment error, 3 clang required (--require) but not found.
+Exit codes: 0 clean, 1 findings or a failed check, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
-import gzip
-import hashlib
-import json
 import os
 import re
-import shlex
-import shutil
-import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_BASELINE = os.path.join(REPO_ROOT, "tools",
-                                "analyze_baseline.json")
-DEFAULT_CACHE = os.path.join(REPO_ROOT, "build", "analyze_cache")
+SCAN_DIRS = ("src", "tests", "bench", "examples")
+SOURCE_EXTS = ("cc", "cpp", "hh")
 
-RULE_NAMES = ("shard-isolation", "hot-path-purity", "layering",
-              "determinism")
+
+class LexicalRule:
+    def __init__(self, name: str, pattern: str, dirs: tuple[str, ...],
+                 message: str, exempt: tuple[str, ...] = ()) -> None:
+        self.name = name
+        self.pattern = re.compile(pattern)
+        self.dirs = dirs          # top-level repo dirs in scope
+        self.exempt = exempt      # repo-relative files out of scope
+        self.message = message
+
+
+LEXICAL_RULES = (
+    LexicalRule("no-std-hash-container",
+                r"std::unordered_(?:multi)?(?:map|set)\b", ("src",),
+                "std::unordered_* is nondeterministic and allocates per "
+                "node; use FlatMap / PagedArray / DenseAddrSet"),
+    LexicalRule("no-nondeterminism",
+                r"(?:\b(?:s?rand|time)\s*\(|std::random_device\b"
+                r"|\bsystem_clock\b|std::hash<[^<>]*\*\s*>)",
+                ("src", "bench"),
+                "nondeterminism source; results must be a pure function "
+                "of the seed (use Rng; steady_clock for host profiling)"),
+    LexicalRule("unsorted-iteration", r"\.forEach\(", ("src", "bench"),
+                ".forEach( visits bucket order; use forEachSorted, or "
+                "allow(unsorted-iteration) with the reason order cannot "
+                "escape"),
+    LexicalRule("no-raw-assert", r"(?<![\w.])assert\s*\(", ("src",),
+                "raw assert( vanishes under NDEBUG and aborts without "
+                "context; use DEWRITE_CHECK / DEWRITE_DCHECK"),
+    LexicalRule("env-getenv-funnel", r"\bgetenv\s*\(", SCAN_DIRS,
+                "std::getenv is funneled through src/common/env.cc; use "
+                "envFlag()/envUint()/envRaw()",
+                exempt=("src/common/env.cc",)),
+    LexicalRule("env-fail-fast", r"\benvRaw\s*\(",
+                ("src", "bench", "examples"),
+                "parse DEWRITE_* variables with envFlag()/envUint() so "
+                "malformed values fail fast; raw access is reserved for "
+                "the env layer",
+                exempt=("src/common/env.cc", "src/common/env.hh")),
+)
+
+#: env-knob-registry: calls whose first argument names an environment
+#: variable. The knob literal is read from the raw line (the code view
+#: erases string contents), but only where the call survives comment
+#: stripping.
+KNOB_RULE = "env-knob-registry"
+KNOB_FILE = "src/common/env.cc"
+#: The env unit test drives the parser with a fixture variable that is
+#: deliberately not a knob.
+KNOB_EXEMPT = ("tests/common/env_test.cc",)
+ENV_CALL_RE = re.compile(
+    r"\b(?P<call>envFlag|envUint|envRaw|getenv|setenv|unsetenv)\s*\(\s*"
+    r"\"(?P<knob>DEWRITE_[A-Z0-9_]*)\"")
+KNOB_LITERAL_RE = re.compile(r'"(DEWRITE_[A-Z0-9_]+)"')
+
+#: The rules a root(<rule>) annotation may name; a hot annotation is a
+#: root of hot-path-purity.
 ROOT_RULES = ("shard-isolation", "determinism")
-OWNED_CLASSES = ("shard", "global-const", "sync")
+RULE_NAMES = tuple(rule.name for rule in LEXICAL_RULES) + (
+    KNOB_RULE, "shard-isolation", "hot-path-purity", "layering",
+    "determinism")
 
-#: Module layering (rule 3). A file's module is its first path
-#: component under src/. Lower number = lower layer; a module may
-#: include itself or any strictly lower layer.
+#: Module layering. A file's module is its first path component under
+#: src/. Lower number = lower layer; a module may include itself or any
+#: strictly lower layer.
 LAYERS = {
     "common": 0,
     "crypto": 1,
@@ -132,18 +187,17 @@ NOT_A_CALL = frozenset({
     "va_copy", "operator",
 })
 
-#: Allocation-shaped constructs (rule 2) — the same catalogue as
-#: dewrite-lint's lexical hot-path-alloc rule, applied transitively.
+#: Allocation-shaped constructs (hot-path-purity).
 ALLOC_RE = re.compile(
     r"(?:\bnew\b|\bmake_unique\b|\bmake_shared\b|\bmalloc\s*\("
     r"|\bcalloc\s*\(|\brealloc\s*\(|\.push_back\s*\("
     r"|\.emplace_back\s*\(|\.resize\s*\(|\.reserve\s*\("
-    # Container *value* declarations allocate; mentions of the type
-    # as a reference/pointer binding do not.
-    r"|std::(?:vector|deque)\s*<[^;]*>\s+[A-Za-z_]\w*"
-    r"|std::string\s+[A-Za-z_]\w*)")
+    # A container or string *value*, declared or temporary, allocates;
+    # a reference or pointer binding to one does not.
+    r"|std::(?:vector|deque)\s*<[^;]*>\s*(?:[A-Za-z_]\w*|[({])"
+    r"|std::string\b\s*(?:[A-Za-z_]\w*|[({]))")
 
-#: Nondeterminism sources (rule 4): wall-clock reads, rand, and
+#: Nondeterminism sources (determinism): wall-clock reads, rand, and
 #: address-ordered (bucket-order) iteration.
 WALLCLOCK_RE = re.compile(
     r"(?:\bsystem_clock\b|\bsteady_clock\b|\bhigh_resolution_clock\b"
@@ -151,25 +205,30 @@ WALLCLOCK_RE = re.compile(
     r"|\b__?rdtscp?\s*\()")
 RAND_RE = re.compile(r"(?:\bs?rand\s*\(|\brandom_device\b)")
 FOREACH_RE = re.compile(r"\.forEach\s*\(")
-LINT_ALLOW_UNSORTED_RE = re.compile(
-    r"//\s*dewrite-lint:\s*allow[^)]*unsorted-iteration")
 
-ANALYZE_ANNOT_RE = re.compile(
-    r"//\s*dewrite-analyze:\s*(?P<kind>allow-file|allow|root)"
-    r"\s*\(\s*(?P<rules>[a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)")
+#: Operator uses and the overloaded operators each may call (see "Call
+#: graph" above).
+OPERATOR_USES = (
+    (re.compile(r"[=!]="), ("operator==", "operator!=")),
+    (re.compile(r"\^(?!=)"), ("operator^",)),
+    (re.compile(r"\["), ("operator[]",)),
+    (re.compile(r"\("), ("operator()",)),
+)
+
+ANNOT_RE = re.compile(
+    r"//\s*dewrite-(?:lint|analyze):\s*"
+    r"(?P<kind>allow-file|allow|root|hot)\b"
+    r"(?:\s*\(\s*(?P<rules>[a-z0-9, -]*?)\s*\))?")
 OWNED_RE = re.compile(
     r"//\s*dewrite-owned:\s*(?P<cls>shard|global-const"
     r"|sync\(\s*[A-Za-z_][\w.:]*\s*\))")
-HOT_RE = re.compile(r"//\s*dewrite-lint:\s*hot\b")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"(?P<path>[^"]+)"')
-
-#: Candidate clang binaries, newest first (mirrors run_clang_tidy).
-CLANG_CANDIDATES = ("clang++",) + tuple(
-    f"clang++-{v}" for v in range(21, 13, -1)) + ("clang",)
+DEFINE_RE = re.compile(
+    r"^\s*#\s*define\s+(?P<name>[A-Za-z_]\w*)\([^)]*\)(?P<body>.*)$")
 
 
 # --------------------------------------------------------------------
-# Shared text utilities
+# Text utilities and annotations
 # --------------------------------------------------------------------
 
 def strip_code(lines: list[str]) -> list[str]:
@@ -225,7 +284,6 @@ class Annotations:
         self.allow_file: set[str] = set()
         self.roots: dict[int, set[str]] = {}      # line -> rules
         self.owned: dict[int, str] = {}           # line -> class
-        self.hot_lines: list[int] = []
         self.bad: list[tuple[int, str]] = []      # unknown rule names
 
     def allowed(self, rule: str, lineno: int) -> bool:
@@ -233,19 +291,10 @@ class Annotations:
             return True
         return rule in self.allow.get(lineno, ())
 
-    def owned_at(self, lineno: int) -> str | None:
-        return self.owned.get(lineno)
-
 
 def parse_annotations(lines: list[str]) -> Annotations:
-    """Scan raw source lines for the analyzer annotation grammar.
-
-    A trailing ``allow``/``owned`` annotation applies to its own line;
-    one on a line of its own applies to the next code line (comment
-    continuation lines in between are skipped, so the justification
-    can span lines). ``root`` applies to the next function definition
-    at or below it.
-    """
+    """Scan raw source lines for the annotation grammar (see the module
+    docstring)."""
     notes = Annotations()
 
     def is_comment_only(idx: int) -> bool:
@@ -259,31 +308,27 @@ def parse_annotations(lines: list[str]) -> Annotations:
 
     for lineno, line in enumerate(lines, 1):
         own_line = is_comment_only(lineno)
-        match = ANALYZE_ANNOT_RE.search(line)
+        match = ANNOT_RE.search(line)
         if match:
-            names = [name.strip()
-                     for name in match.group("rules").split(",")]
-            for name in names:
-                if name not in RULE_NAMES:
-                    notes.bad.append((lineno, name))
             kind = match.group("kind")
-            if kind == "allow-file":
+            names = [name.strip()
+                     for name in (match.group("rules") or "").split(",")
+                     if name.strip()]
+            allowed = ROOT_RULES if kind == "root" else RULE_NAMES
+            notes.bad.extend((lineno, name) for name in names
+                             if name not in allowed)
+            if kind in ("hot", "root"):
+                notes.roots.setdefault(lineno, set()).update(
+                    names if kind == "root" else ["hot-path-purity"])
+            elif kind == "allow-file":
                 notes.allow_file.update(names)
-            elif kind == "allow":
+            else:
                 target = next_code_line(lineno) if own_line else lineno
                 notes.allow.setdefault(target, set()).update(names)
-            else:  # root
-                for name in names:
-                    if name in RULE_NAMES and name not in ROOT_RULES:
-                        notes.bad.append((lineno, name))
-                notes.roots.setdefault(lineno, set()).update(names)
         match = OWNED_RE.search(line)
         if match:
-            cls = match.group("cls")
             notes.owned[next_code_line(lineno)
-                        if own_line else lineno] = cls
-        if HOT_RE.search(line):
-            notes.hot_lines.append(lineno)
+                        if own_line else lineno] = match.group("cls")
     return notes
 
 
@@ -298,9 +343,9 @@ class Function:
                  end_line: int) -> None:
         self.qname = qname          # e.g. "dewrite::ShardCore::flush"
         self.rel = rel
-        self.line = line            # definition line (header)
+        self.line = line            # line of the body's opening brace
         self.end_line = end_line    # closing brace line
-        self.calls: list[str] = []  # callee names as written/resolved
+        self.calls: list[str] = []  # callee names as written
         self.cls = ""               # owning class ("" for free fns)
         parts = qname.split("::")
         self.name = parts[-1]
@@ -324,28 +369,26 @@ class GlobalVar:
 
 
 class FileIR:
+    """One source file: its lines, code view and annotations; for src/
+    files also its functions, statics, includes and macros."""
+
     def __init__(self, rel: str, text: str) -> None:
         self.rel = rel
+        self.text = text
         self.lines = text.splitlines()
         self.code = strip_code(self.lines)
         self.notes = parse_annotations(self.lines)
         self.functions: list[Function] = []
         self.globals: list[GlobalVar] = []
         self.includes: list[tuple[int, str]] = []  # (line, path)
-        for lineno, line in enumerate(self.lines, 1):
-            match = INCLUDE_RE.match(line)
-            if match:
-                self.includes.append((lineno, match.group("path")))
+        self.macros: dict[str, list[str]] = {}     # name -> calls
 
 
 class Tree:
-    """The whole-tree IR both front-ends produce."""
+    """Every scanned file, keyed by repo-relative path."""
 
-    def __init__(self) -> None:
-        self.files: dict[str, FileIR] = {}
-
-    def add(self, ir: FileIR) -> None:
-        self.files[ir.rel] = ir
+    def __init__(self, files: dict[str, FileIR]) -> None:
+        self.files = files
 
     def all_functions(self) -> list[Function]:
         return [fn for ir in self.files.values() for fn in ir.functions]
@@ -355,11 +398,12 @@ class Tree:
 
 
 # --------------------------------------------------------------------
-# Internal (lexical-structural) front-end
+# Front-end (lexical-structural parse of src/)
 # --------------------------------------------------------------------
 
 SCOPE_NAMESPACE_RE = re.compile(
-    r"(?:^|[;{}\s])namespace(?:\s+([A-Za-z_]\w*))?\s*$")
+    r"(?:^|[;{}\s])namespace"
+    r"(?:\s+([A-Za-z_]\w*(?:\s*::\s*[A-Za-z_]\w*)*))?\s*$")
 SCOPE_CLASS_RE = re.compile(
     r"\b(?:class|struct|union)\s+(?:alignas\s*\([^)]*\)\s*)?"
     r"([A-Za-z_]\w*)\b(?!.*;)[^()]*$")
@@ -438,10 +482,54 @@ def _function_header(pending: str) -> str | None:
     return None
 
 
-def parse_file_internal(rel: str, text: str) -> FileIR:
-    """Lexical-structural parse of one file into the IR."""
+def calls_in(code_line: str) -> list[str]:
+    """Callee names one line of code may reach: calls as written (a
+    member call on another object, 'x.f(' or 'x->f(', is marked with a
+    leading '.' so resolution does not narrow it to the caller's own
+    class) plus the overloaded operators its operator uses may call."""
+    calls = []
+    for call in CALL_RE.finditer(code_line):
+        name = re.sub(r"\s+", "", call.group(1))
+        if name.split("::")[-1] in NOT_A_CALL:
+            continue
+        before = code_line[:call.start()].rstrip()
+        if before.endswith(".") or before.endswith("->"):
+            name = "." + name
+        calls.append(name)
+    for pattern, operators in OPERATOR_USES:
+        if pattern.search(code_line):
+            calls.extend("." + op for op in operators)
+    return calls
+
+
+def parse_macros(code: list[str]) -> dict[str, list[str]]:
+    """Function-like macros -> the calls in their definitions."""
+    macros: dict[str, list[str]] = {}
+    lineno = 0
+    while lineno < len(code):
+        match = DEFINE_RE.match(code[lineno])
+        lineno += 1
+        if not match:
+            continue
+        body = match.group("body")
+        while body.rstrip().endswith("\\") and lineno < len(code):
+            body = body.rstrip()[:-1] + " " + code[lineno]
+            lineno += 1
+        macros.setdefault(match.group("name"), []).extend(calls_in(body))
+    return macros
+
+
+def parse_file(rel: str, text: str) -> FileIR:
+    """One file into the IR; only src/ files get the structural parse."""
     ir = FileIR(rel, text)
+    if not rel.startswith("src/"):
+        return ir
     code = ir.code
+    for lineno, line in enumerate(ir.lines, 1):
+        match = INCLUDE_RE.match(line)
+        if match:
+            ir.includes.append((lineno, match.group("path")))
+    ir.macros = parse_macros(code)
 
     # Scope stack entries: (kind, name) with kind in
     # namespace/class/function/block/enum; functions also carry state.
@@ -472,7 +560,8 @@ def parse_file_internal(rel: str, text: str) -> FileIR:
                     ns = SCOPE_NAMESPACE_RE.search(header)
                     if ns:
                         stack.append({"kind": "namespace",
-                                      "name": ns.group(1) or "",
+                                      "name": re.sub(r"\s+", "",
+                                                     ns.group(1) or ""),
                                       "depth": depth})
                     elif SCOPE_ENUM_RE.search(header):
                         stack.append({"kind": "enum", "name": "",
@@ -545,17 +634,7 @@ def parse_file_internal(rel: str, text: str) -> FileIR:
             # Record calls and function-local statics on body lines
             # (fn_this_line also covers one-line bodies that opened
             # and closed within this line).
-            for call in CALL_RE.finditer(line):
-                name = re.sub(r"\s+", "", call.group(1))
-                if name.split("::")[-1] in NOT_A_CALL:
-                    continue
-                # Member calls on some other object ('x.f(' / 'x->f(')
-                # are marked so resolution does not narrow them to the
-                # caller's own class.
-                before = line[:call.start()].rstrip()
-                if before.endswith(".") or before.endswith("->"):
-                    name = "." + name
-                fn_this_line.calls.append(name)
+            fn_this_line.calls.extend(calls_in(line))
             sl = STATIC_LOCAL_RE.match(line)
             if sl and not ({"const", "constexpr", "constinit"} &
                            set(sl.group("type").split())):
@@ -567,314 +646,30 @@ def parse_file_internal(rel: str, text: str) -> FileIR:
     return ir
 
 
-def load_tree_internal(files: dict[str, str]) -> Tree:
-    tree = Tree()
-    for rel in sorted(files):
-        tree.add(parse_file_internal(rel, files[rel]))
-    return tree
+def load_tree(sources: dict[str, str],
+              reuse: Tree | None = None) -> Tree:
+    """Parse ``sources`` (rel -> text), reusing the IR of every file
+    whose text is unchanged in ``reuse``."""
+    files = {}
+    for rel in sorted(sources):
+        old = reuse.files.get(rel) if reuse else None
+        files[rel] = old if old is not None and old.text == sources[rel] \
+            else parse_file(rel, sources[rel])
+    return Tree(files)
 
 
-# --------------------------------------------------------------------
-# Clang AST-dump front-end
-# --------------------------------------------------------------------
-
-def find_clang(explicit: str | None) -> str | None:
-    if explicit:
-        return explicit if shutil.which(explicit) else None
-    env = os.environ.get("CLANG")
-    if env:
-        return env if shutil.which(env) else None
-    for name in CLANG_CANDIDATES:
-        if shutil.which(name):
-            return name
-    return None
-
-
-def load_compile_db(build_dir: str) -> list[dict]:
-    path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(path):
-        raise SystemExit(
-            f"error: {path} not found; configure with "
-            "'cmake -B build -S .' first")
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def ast_dump_command(entry: dict) -> list[str]:
-    """The cc command rewritten to emit an AST JSON dump on stdout."""
-    if "arguments" in entry:
-        argv = list(entry["arguments"])
-    else:
-        argv = shlex.split(entry["command"])
-    out: list[str] = []
-    skip = False
-    for arg in argv[1:]:
-        if skip:
-            skip = False
-            continue
-        if arg in ("-o", "-MF", "-MT", "-MQ"):
-            skip = True
-            continue
-        if arg in ("-c", "-MD", "-MMD") or arg.startswith("-fmodules"):
-            continue
-        out.append(arg)
-    return out + ["-fsyntax-only", "-w", "-Wno-everything",
-                  "-Xclang", "-ast-dump=json"]
-
-
-_CLANG_VERSION: dict[str, str] = {}
-
-
-def clang_version(binary: str) -> str:
-    """'clang --version' output, memoized per binary: it is part of
-    every TU's cache key and must not re-run 150+ times per tree."""
-    if binary not in _CLANG_VERSION:
-        _CLANG_VERSION[binary] = subprocess.run(
-            [binary, "--version"], capture_output=True, text=True,
-            check=False).stdout
-    return _CLANG_VERSION[binary]
-
-
-_HEADER_HASH: str | None = None
-
-
-def tree_header_hash() -> str:
-    """sha256 over every src/ header's path and content, memoized.
-
-    Header-defined inline functions (and their line numbers) are
-    extracted from each including TU's dump, so a header edit must
-    invalidate every cached dump that could textually include it —
-    otherwise a restored CI cache serves stale dumps for unchanged
-    .cc files and new header code becomes invisible (or stale line
-    ranges misalign against the fresh header text). Hashing the whole
-    header set into every key is coarser than an exact -MM dependency
-    list but safe by construction and one pass per run.
-    """
-    global _HEADER_HASH
-    if _HEADER_HASH is None:
-        digest = hashlib.sha256()
-        for absolute in sorted(glob.glob(
-                os.path.join(REPO_ROOT, "src/**/*.hh"),
-                recursive=True)):
-            rel = os.path.relpath(absolute, REPO_ROOT) \
-                .replace(os.sep, "/")
-            digest.update(rel.encode() + b"\0")
-            with open(absolute, "rb") as handle:
-                digest.update(handle.read())
-            digest.update(b"\0")
-        _HEADER_HASH = digest.hexdigest()
-    return _HEADER_HASH
-
-
-def cached_ast_dump(binary: str, entry: dict, cache_dir: str) -> dict:
-    """Run (or reuse) one TU's AST dump; returns the parsed JSON."""
-    args = ast_dump_command(entry)
-    source = os.path.normpath(os.path.join(
-        entry.get("directory", "."), entry["file"]))
-    with open(source, "rb") as handle:
-        content = handle.read()
-    key = hashlib.sha256()
-    key.update(clang_version(binary).encode())
-    key.update("\0".join(args).encode())
-    key.update(tree_header_hash().encode())
-    key.update(content)
-    os.makedirs(cache_dir, exist_ok=True)
-    cache_path = os.path.join(cache_dir, key.hexdigest() + ".json.gz")
-    if os.path.isfile(cache_path):
-        with gzip.open(cache_path, "rt", encoding="utf-8") as handle:
-            return json.load(handle)
-    proc = subprocess.run([binary, *args],
-                          cwd=entry.get("directory", "."),
-                          capture_output=True, text=True, check=False)
-    if proc.returncode != 0 or not proc.stdout.lstrip().startswith("{"):
-        raise SystemExit(f"error: AST dump failed for {source}:\n"
-                         f"{proc.stderr.strip()[:2000]}")
-    with gzip.open(cache_path, "wt", encoding="utf-8") as handle:
-        handle.write(proc.stdout)
-    return json.loads(proc.stdout)
-
-
-class _AstWalker:
-    """Extracts function definitions and call edges from one TU dump.
-
-    clang's JSON location objects omit ``file`` (and ``line``) when
-    unchanged from the previous location in pre-order, so the walker
-    tracks both statefully.
-    """
-
-    FN_KINDS = ("FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
-                "CXXDestructorDecl", "CXXConversionDecl")
-
-    def __init__(self, repo_root: str) -> None:
-        self.repo_root = repo_root
-        self.cur_file = ""
-        self.cur_line = 0
-        self.decl_names: dict[int, str] = {}   # id -> qualified name
-        self.functions: list[tuple[Function, list[dict]]] = []
-        self.globals: list[GlobalVar] = []
-
-    def _loc(self, node: dict) -> tuple[str, int]:
-        loc = node.get("loc") or {}
-        for candidate in (loc.get("spellingLoc"), loc):
-            if not candidate:
-                continue
-            if "file" in candidate:
-                self.cur_file = candidate["file"]
-            if "line" in candidate:
-                self.cur_line = candidate["line"]
-        return self.cur_file, self.cur_line
-
-    def _rel(self, path: str) -> str | None:
-        absolute = os.path.normpath(
-            path if os.path.isabs(path)
-            else os.path.join(self.repo_root, path))
-        rel = os.path.relpath(absolute, self.repo_root)
-        if rel.startswith(".."):
-            return None
-        return rel.replace(os.sep, "/")
-
-    def walk(self, node: dict, scope: list[str]) -> None:
-        if not isinstance(node, dict):
-            return
-        kind = node.get("kind", "")
-        file, line = self._loc(node)
-        node_id = node.get("id")
-        name = node.get("name", "")
-        if node_id is not None and name and kind in (
-                "NamespaceDecl", "CXXRecordDecl", "ClassTemplateDecl",
-                *self.FN_KINDS):
-            prefix = "::".join(s for s in scope if s)
-            self.decl_names[int(node_id, 16)] = \
-                (prefix + "::" + name) if prefix else name
-
-        inner = node.get("inner", [])
-        if kind in self.FN_KINDS and any(
-                child.get("kind") == "CompoundStmt"
-                for child in inner if isinstance(child, dict)):
-            rel = self._rel(file) if file else None
-            if rel is not None and rel.startswith("src/"):
-                parent = node.get("parentDeclContextId")
-                if parent is not None:
-                    prefix = self.decl_names.get(int(parent, 16), "")
-                else:
-                    prefix = "::".join(s for s in scope if s)
-                qname = (prefix + "::" + name) if prefix else name
-                end = node.get("range", {}).get("end", {})
-                fn = Function(qname, rel, line,
-                              end.get("line", line))
-                self.functions.append((fn, inner))
-                for child in inner:
-                    self._collect_calls(child, fn)
-                # Do not descend normally — calls were collected.
-                for child in inner:
-                    if isinstance(child, dict) \
-                            and child.get("kind") != "CompoundStmt":
-                        self.walk(child, scope)
-                return
-        if kind == "VarDecl" and name:
-            rel = self._rel(file) if file else None
-            qual = (node.get("type", {}).get("qualType", ""))
-            if rel is not None and rel.startswith("src/") \
-                    and "const" not in qual.split() \
-                    and not scope_is_local(scope):
-                # Namespace-scope variable (class statics resolve via
-                # their out-of-line definition which lands here too).
-                self.globals.append(GlobalVar(name, rel, line, None))
-
-        next_scope = scope
-        if kind in ("NamespaceDecl", "CXXRecordDecl") and name:
-            next_scope = scope + [name]
-        for child in inner:
-            self.walk(child, next_scope)
-
-    def _collect_calls(self, node: dict, fn: Function) -> None:
-        if not isinstance(node, dict):
-            return
-        self._loc(node)
-        ref = node.get("referencedDecl")
-        if isinstance(ref, dict) and ref.get("kind") in (
-                *self.FN_KINDS,):
-            ref_id = ref.get("id")
-            qname = None
-            if ref_id is not None:
-                qname = self.decl_names.get(int(ref_id, 16))
-            fn.calls.append(qname or ref.get("name", ""))
-            # Over-approximate virtual dispatch like the internal
-            # front-end: also record the bare name.
-            if qname and "::" in qname:
-                fn.calls.append(qname.split("::")[-1])
-        # Member calls (obj.f(), this->f(), implicit this) carry no
-        # referencedDecl: clang encodes them as CXXMemberCallExpr ->
-        # MemberExpr whose 'referencedMemberDecl' is the bare hex id
-        # of the method's in-class declaration. The class definition
-        # precedes every use in the TU, so the id resolves through
-        # decl_names; an unresolved id (dependent template member,
-        # field access) falls back to the spelled name, which the
-        # over-approximate call graph treats like any unqualified
-        # call. Without this branch the closures from method-heavy
-        # roots (CoreStep::feed et al.) are near-empty and every
-        # reachability rule passes vacuously.
-        mref = node.get("referencedMemberDecl")
-        if node.get("kind") == "MemberExpr" and mref:
-            qname = self.decl_names.get(int(mref, 16))
-            name = qname or node.get("name", "")
-            if name:
-                fn.calls.append(name)
-                if "::" in name:
-                    fn.calls.append(name.split("::")[-1])
-        if node.get("kind") == "VarDecl" \
-                and node.get("storageClass") == "static" \
-                and "const" not in node.get("type", {}).get(
-                    "qualType", "").split():
-            file, line = self.cur_file, self.cur_line
-            rel = self._rel(file) if file else None
-            if rel is not None and rel.startswith("src/"):
-                self.globals.append(GlobalVar(node.get("name", "?"),
-                                              rel, line, fn.qname))
-        for child in node.get("inner", []):
-            self._collect_calls(child, fn)
-
-
-def scope_is_local(scope: list[str]) -> bool:
-    return False  # namespace/class scopes only reach VarDecl here
-
-
-def load_tree_clang(binary: str, build_dir: str,
-                    cache_dir: str) -> Tree:
-    """Whole-tree IR from clang AST dumps (src/ TUs + textual headers).
-
-    Header-defined inline functions come out of each including TU's
-    dump; duplicates collapse by (qname, file, line).
-    """
-    tree = Tree()
-    texts = collect_sources()
-    for rel, text in texts.items():
-        tree.add(FileIR(rel, text))  # includes + annotations
-    seen: set[tuple[str, str, int]] = set()
-    db = load_compile_db(build_dir)
-    for entry in db:
-        source = os.path.normpath(os.path.join(
-            entry.get("directory", "."), entry["file"]))
-        rel = os.path.relpath(source, REPO_ROOT).replace(os.sep, "/")
-        if rel.startswith("..") or not rel.startswith("src/"):
-            continue
-        dump = cached_ast_dump(binary, entry, cache_dir)
-        walker = _AstWalker(REPO_ROOT)
-        walker.walk(dump, [])
-        del dump
-        for fn, _inner in walker.functions:
-            key = (fn.qname, fn.rel, fn.line)
-            if key in seen or fn.rel not in tree.files:
-                continue
-            seen.add(key)
-            tree.files[fn.rel].functions.append(fn)
-        for gv in walker.globals:
-            key = ("var:" + gv.name, gv.rel, gv.line)
-            if key in seen or gv.rel not in tree.files:
-                continue
-            seen.add(key)
-            tree.files[gv.rel].globals.append(gv)
-    return tree
+def collect_sources() -> dict[str, str]:
+    """rel -> text for every source file under SCAN_DIRS."""
+    files: dict[str, str] = {}
+    for top in SCAN_DIRS:
+        for ext in SOURCE_EXTS:
+            pattern = os.path.join(REPO_ROOT, top, "**", "*." + ext)
+            for absolute in glob.glob(pattern, recursive=True):
+                rel = os.path.relpath(absolute, REPO_ROOT) \
+                    .replace(os.sep, "/")
+                with open(absolute, encoding="utf-8") as handle:
+                    files[rel] = handle.read()
+    return files
 
 
 # --------------------------------------------------------------------
@@ -883,16 +678,32 @@ def load_tree_clang(binary: str, build_dir: str,
 
 class CallGraph:
     def __init__(self, tree: Tree) -> None:
-        self.tree = tree
         self.by_name: dict[str, list[Function]] = {}
         self.by_class: dict[tuple[str, str], list[Function]] = {}
         self.by_file: dict[tuple[str, str], list[Function]] = {}
+        self.macros: dict[str, list[str]] = {}
         for fn in tree.all_functions():
             self.by_name.setdefault(fn.name, []).append(fn)
             if fn.cls:
                 self.by_class.setdefault((fn.cls, fn.name),
                                          []).append(fn)
             self.by_file.setdefault((fn.rel, fn.name), []).append(fn)
+        for ir in tree.files.values():
+            for name, calls in ir.macros.items():
+                self.macros.setdefault(name, []).extend(calls)
+
+    def expand(self, calls: list[str],
+               seen: frozenset[str] = frozenset()) -> list[str]:
+        """``calls`` with each function-like macro replaced by the calls
+        in its definitions, transitively."""
+        out = []
+        for callee in calls:
+            body = self.macros.get(callee)
+            if body is None:
+                out.append(callee)
+            elif callee not in seen:
+                out.extend(self.expand(body, seen | {callee}))
+        return out
 
     def resolve(self, caller: Function, callee: str) -> list[Function]:
         """Over-approximate resolution of one call written ``callee``.
@@ -940,7 +751,7 @@ class CallGraph:
                 queue.append(root)
         while queue:
             fn = queue.pop(0)
-            for callee in fn.calls:
+            for callee in self.expand(fn.calls):
                 for target in self.resolve(fn, callee):
                     if target not in paths:
                         paths[target] = paths[fn] + (target,)
@@ -959,6 +770,48 @@ def witness(path: tuple[Function, ...]) -> str:
 Finding = tuple[str, int, str, str]  # (file, line, rule, message)
 
 
+def known_knobs(tree: Tree) -> frozenset[str] | None:
+    """The DEWRITE_* literals in the body of knownKnobs() in KNOB_FILE,
+    or None if the tree has no such catalogue."""
+    ir = tree.files.get(KNOB_FILE)
+    fn = next((fn for fn in ir.functions if fn.name == "knownKnobs"),
+              None) if ir else None
+    if fn is None:
+        return None
+    knobs = {knob
+             for lineno in range(fn.line, fn.end_line + 1)
+             if '"' in ir.code[lineno - 1]
+             for knob in KNOB_LITERAL_RE.findall(ir.lines[lineno - 1])}
+    return frozenset(knobs) or None
+
+
+def rule_lexical(ir: FileIR, knobs: frozenset[str]) -> list[Finding]:
+    """The seven lexical rules over one file."""
+    findings: list[Finding] = []
+    top = ir.rel.split("/", 1)[0]
+    for rule in LEXICAL_RULES:
+        if top not in rule.dirs or ir.rel in rule.exempt:
+            continue
+        for lineno, code_line in enumerate(ir.code, 1):
+            if rule.pattern.search(code_line) \
+                    and not ir.notes.allowed(rule.name, lineno):
+                findings.append((ir.rel, lineno, rule.name, rule.message))
+    if ir.rel in KNOB_EXEMPT:
+        return findings
+    for lineno, line in enumerate(ir.lines, 1):
+        for match in ENV_CALL_RE.finditer(line):
+            if match.group("call") not in ir.code[lineno - 1] \
+                    or match.group("knob") in knobs \
+                    or ir.notes.allowed(KNOB_RULE, lineno):
+                continue
+            findings.append((
+                ir.rel, lineno, KNOB_RULE,
+                f"'{match.group('knob')}' is not in knownKnobs() "
+                f"({KNOB_FILE}); register new knobs there and document "
+                "them in README.md"))
+    return findings
+
+
 def collect_roots(tree: Tree, rule: str) -> list[Function]:
     roots = []
     for ir in tree.files.values():
@@ -971,49 +824,33 @@ def collect_roots(tree: Tree, rule: str) -> list[Function]:
     return roots
 
 
-def hot_roots(tree: Tree) -> list[Function]:
-    roots = []
-    for ir in tree.files.values():
-        for lineno in ir.notes.hot_lines:
-            below = [fn for fn in ir.functions if fn.line >= lineno]
-            if below:
-                roots.append(min(below, key=lambda fn: fn.line))
-    return roots
-
-
 def rule_shard_isolation(tree: Tree, graph: CallGraph) -> list[Finding]:
     """No drain-task call path reaches unannotated mutable
     static-storage state."""
     findings: list[Finding] = []
-    roots = collect_roots(tree, "shard-isolation")
-    closure = graph.reachable(roots)
-    reachable_names = {fn.qname for fn in closure}
-
-    mutable_globals: list[GlobalVar] = []
-    for gv in tree.all_globals():
-        notes = tree.files[gv.rel].notes
-        if notes.owned_at(gv.line):
-            continue  # annotated ownership class
-        if notes.allowed("shard-isolation", gv.line):
-            continue
-        mutable_globals.append(gv)
+    closure = graph.reachable(collect_roots(tree, "shard-isolation"))
 
     by_name: dict[str, list[GlobalVar]] = {}
-    for gv in mutable_globals:
+    for gv in tree.all_globals():
+        notes = tree.files[gv.rel].notes
+        if gv.line in notes.owned \
+                or notes.allowed("shard-isolation", gv.line):
+            continue
         by_name.setdefault(gv.name, []).append(gv)
 
     for fn, path in closure.items():
         notes = tree.files[fn.rel].notes
         # Function-local statics declared by a reachable function.
-        for gv in mutable_globals:
-            if gv.owner == fn.qname:
-                findings.append((
-                    gv.rel, gv.line, "shard-isolation",
-                    f"mutable static '{gv.name}' in {fn.qname} is "
-                    f"reachable from a shard drain task "
-                    f"({witness(path)}); annotate '// dewrite-owned: "
-                    f"shard|global-const|sync(<lock>)' or remove the "
-                    f"shared state"))
+        for gvs in by_name.values():
+            for gv in gvs:
+                if gv.owner == fn.qname:
+                    findings.append((
+                        gv.rel, gv.line, "shard-isolation",
+                        f"mutable static '{gv.name}' in {fn.qname} is "
+                        f"reachable from a shard drain task "
+                        f"({witness(path)}); annotate '// dewrite-owned:"
+                        f" shard|global-const|sync(<lock>)' or remove "
+                        f"the shared state"))
         # References to namespace-scope mutable globals.
         body = tree.files[fn.rel].code[fn.line - 1:fn.end_line]
         for lineno_off, code_line in enumerate(body):
@@ -1033,35 +870,29 @@ def rule_shard_isolation(tree: Tree, graph: CallGraph) -> list[Finding]:
                         f"{fn.qname} touches mutable global "
                         f"'{gv.name}' ({gv.rel}:{gv.line}) on a shard "
                         f"drain path ({witness(path)})"))
-    # Globals defined in headers whose inline accessors are reachable
-    # are caught through the accessor's own static-local (owner set).
-    del reachable_names
-    return dedupe(findings)
+    return findings
 
 
 def rule_hot_purity(tree: Tree, graph: CallGraph) -> list[Finding]:
     """Hot functions and everything they reach never allocate."""
     findings: list[Finding] = []
-    closure = graph.reachable(hot_roots(tree))
-    for fn, path in closure.items():
+    roots = collect_roots(tree, "hot-path-purity")
+    for fn, path in graph.reachable(roots).items():
         ir = tree.files[fn.rel]
         for lineno in range(fn.line, fn.end_line + 1):
-            code_line = ir.code[lineno - 1]
-            if not ALLOC_RE.search(code_line):
-                continue
-            if ir.notes.allowed("hot-path-purity", lineno):
-                continue
-            findings.append((
-                fn.rel, lineno, "hot-path-purity",
-                f"allocation-shaped construct in {fn.qname}, "
-                f"reachable from hot kernel ({witness(path)})"))
-    return dedupe(findings)
+            if ALLOC_RE.search(ir.code[lineno - 1]) \
+                    and not ir.notes.allowed("hot-path-purity", lineno):
+                findings.append((
+                    fn.rel, lineno, "hot-path-purity",
+                    f"allocation-shaped construct in {fn.qname}, "
+                    f"reachable from hot kernel ({witness(path)})"))
+    return findings
 
 
 def rule_layering(tree: Tree) -> list[Finding]:
     """The include graph respects the module DAG."""
     findings: list[Finding] = []
-    for rel, ir in sorted(tree.files.items()):
+    for rel, ir in tree.files.items():
         parts = rel.split("/")
         if parts[0] != "src" or len(parts) < 3:
             continue
@@ -1089,7 +920,7 @@ def rule_layering(tree: Tree) -> list[Finding]:
                 f"{to_mod} (layer {to_layer}); invert the dependency "
                 f"or annotate '// dewrite-analyze: allow(layering) "
                 f"<reason>'"))
-    return dedupe(findings)
+    return findings
 
 
 def rule_determinism(tree: Tree, graph: CallGraph) -> list[Finding]:
@@ -1101,270 +932,219 @@ def rule_determinism(tree: Tree, graph: CallGraph) -> list[Finding]:
         ir = tree.files[fn.rel]
         for lineno in range(fn.line, fn.end_line + 1):
             code_line = ir.code[lineno - 1]
-            raw_line = ir.lines[lineno - 1]
-            prev_raw = ir.lines[lineno - 2] if lineno >= 2 else ""
             kind = None
             if WALLCLOCK_RE.search(code_line):
                 kind = "wall-clock read"
             elif RAND_RE.search(code_line):
                 kind = "rand()-family call"
-            elif FOREACH_RE.search(code_line):
-                if LINT_ALLOW_UNSORTED_RE.search(raw_line) or \
-                        LINT_ALLOW_UNSORTED_RE.search(prev_raw):
-                    continue  # PR 4's catalogued sites
+            elif FOREACH_RE.search(code_line) and not ir.notes.allowed(
+                    "unsorted-iteration", lineno):
                 kind = "address-ordered .forEach( iteration"
-            if kind is None:
-                continue
-            if ir.notes.allowed("determinism", lineno):
+            if kind is None or ir.notes.allowed("determinism", lineno):
                 continue
             findings.append((
                 fn.rel, lineno, "determinism",
                 f"{kind} in {fn.qname} is reachable from "
                 f"result-producing code ({witness(path)}); results "
                 f"must be a pure function of the seed"))
-    return dedupe(findings)
+    return findings
 
 
-def dedupe(findings: list[Finding]) -> list[Finding]:
-    seen = set()
-    out = []
-    for row in sorted(findings, key=lambda r: (r[0], r[1], r[2])):
-        key = row[:3]
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(row)
-    return out
-
-
-def analyze(tree: Tree, rules: tuple[str, ...] = RULE_NAMES,
-            require_roots: bool = False) -> list[Finding]:
+def analyze(tree: Tree) -> list[Finding]:
+    """Every rule over ``tree``, sorted and deduplicated."""
     findings: list[Finding] = []
     for ir in tree.files.values():
-        for lineno, name in ir.notes.bad:
-            findings.append((ir.rel, lineno, "unknown-rule",
-                             f"annotation names unknown or non-root "
-                             f"rule '{name}'"))
-    graph = CallGraph(tree)
-    if require_roots:
-        for rule in ROOT_RULES:
-            if rule in rules and not collect_roots(tree, rule):
+        findings.extend((ir.rel, lineno, "annotation",
+                         f"annotation names unknown or non-root rule "
+                         f"'{name}'") for lineno, name in ir.notes.bad)
+        # A root or hot annotation binds to the next definition below
+        # it, so one inside a body would silently mark another function.
+        for lineno in ir.notes.roots:
+            owner = next((fn for fn in ir.functions
+                          if fn.line < lineno <= fn.end_line), None)
+            if owner is not None:
                 findings.append((
-                    "src", 0, rule,
-                    f"no '// dewrite-analyze: root({rule})' "
-                    "annotations found in the tree; the rule would "
-                    "vacuously pass (annotations deleted?)"))
-    if "shard-isolation" in rules:
-        findings.extend(rule_shard_isolation(tree, graph))
-    if "hot-path-purity" in rules:
-        findings.extend(rule_hot_purity(tree, graph))
-    if "layering" in rules:
-        findings.extend(rule_layering(tree))
-    if "determinism" in rules:
-        findings.extend(rule_determinism(tree, graph))
-    return dedupe(findings)
+                    ir.rel, lineno, "annotation",
+                    f"root/hot annotation inside the body of "
+                    f"{owner.qname}; move it above the definition"))
+    knobs = known_knobs(tree)
+    if knobs is None:
+        findings.append((KNOB_FILE, 1, KNOB_RULE,
+                         "no knownKnobs() listing DEWRITE_* names found; "
+                         "the knob catalogue is missing"))
+    for ir in tree.files.values():
+        findings.extend(rule_lexical(ir, knobs or frozenset()))
+    for rule in ROOT_RULES + ("hot-path-purity",):
+        if not collect_roots(tree, rule):
+            findings.append((
+                "src", 0, rule,
+                f"no function in the tree is a root of {rule}; the "
+                "rule would vacuously pass (annotations deleted?)"))
+    graph = CallGraph(tree)
+    findings.extend(rule_shard_isolation(tree, graph))
+    findings.extend(rule_hot_purity(tree, graph))
+    findings.extend(rule_layering(tree))
+    findings.extend(rule_determinism(tree, graph))
+    unique: dict[tuple[str, int, str], Finding] = {}
+    for row in findings:
+        unique.setdefault(row[:3], row)
+    return [unique[key] for key in sorted(unique)]
 
 
 # --------------------------------------------------------------------
-# Baseline ratchet (same shape as the clang-tidy wall)
+# Seeded-break check over the live tree
 # --------------------------------------------------------------------
 
-def count_findings(rows: list[Finding]) -> dict[str, dict[str, int]]:
-    counts: dict[str, dict[str, int]] = {}
-    for rel, _line, rule, _message in rows:
-        counts.setdefault(rel, {})[rule] = \
-            counts.get(rel, {}).get(rule, 0) + 1
-    return counts
+#: Deliberate violations seeded (in memory) into the live tree: one per
+#: rule, plus an allocation a hot kernel reaches only through a check
+#: macro and one it reaches only through an overloaded operator. Each
+#: seed is (label, rule, file the finding must name, edits); an edit
+#: (file, anchor, text) replaces the anchor's first occurrence, or
+#: appends the text to the file when the anchor is None.
+SEEDS = (
+    ("no-std-hash-container", "no-std-hash-container",
+     "src/common/flat_map.hh",
+     [("src/common/flat_map.hh", None,
+       "std::unordered_map<int, int> seededTable;")]),
+    ("no-nondeterminism", "no-nondeterminism", "bench/bench_figures.cc",
+     [("bench/bench_figures.cc", None,
+       "static const int seededNoise = rand();")]),
+    ("unsorted-iteration", "unsorted-iteration",
+     "src/dedup/hash_store.cc",
+     [("src/dedup/hash_store.cc", None,
+       "void seededWalk(const dewrite::HashStore &store)\n"
+       "{\n"
+       "    store.forEach([](std::uint64_t, const auto &) {});\n"
+       "}")]),
+    ("no-raw-assert", "no-raw-assert", "src/sim/experiment.cc",
+     [("src/sim/experiment.cc", None,
+       "inline void seededAssert(int x) { assert(x > 0); }")]),
+    ("env-getenv-funnel", "env-getenv-funnel",
+     "tests/sim/experiment_env_test.cc",
+     [("tests/sim/experiment_env_test.cc", None,
+       "const char *seededHome = std::getenv(\"HOME\");")]),
+    ("env-fail-fast", "env-fail-fast", "examples/quickstart.cpp",
+     [("examples/quickstart.cpp", None,
+       "const char *seededRaw = dewrite::envRaw(\"DEWRITE_EVENTS\");")]),
+    ("env-knob-registry", "env-knob-registry", "src/sim/experiment.cc",
+     [("src/sim/experiment.cc", None,
+       "const auto seededKnob = envUint(\"DEWRITE_EVENT\", 1, 1, 2);")]),
+    ("shard-isolation", "shard-isolation", "src/cpu/core_model.cc",
+     [("src/cpu/core_model.cc", "    now_ = issueAt(event.instGap);",
+       "    static std::uint64_t seededCrossShard = 0;\n"
+       "    now_ = issueAt(event.instGap) + ++seededCrossShard * 0;")]),
+    ("hot-path-purity", "hot-path-purity", "src/common/line.hh",
+     [("src/common/line.hh", "            if (a != b)",
+       "            seededScratch.push_back(a);\n"
+       "            if (a != b)")]),
+    ("layering", "layering", "src/common/line.hh",
+     [("src/common/line.hh", "#include <array>",
+       "#include <array>\n#include \"service/dedup_service.hh\"")]),
+    ("determinism", "determinism", "src/cpu/core_model.cc",
+     [("src/cpu/core_model.cc", "    now_ = issueAt(event.instGap);",
+       "    now_ = issueAt(event.instGap) + static_cast<Time>(\n"
+       "        std::chrono::steady_clock::now().time_since_epoch()\n"
+       "            .count()) * 0;")]),
+    # SecureBaselineController::write -> checkedIncrement ->
+    # DEWRITE_CHECK -> seededTrace: the last edge exists only as the
+    # macro's definition.
+    ("check-macro edge", "hot-path-purity", "src/common/check.hh",
+     [("src/common/check.hh", "::dewrite::detail::checkFailed(",
+       "::dewrite::detail::seededTrace(); "
+       "::dewrite::detail::checkFailed("),
+      ("src/common/check.hh", None,
+       "namespace dewrite {\n"
+       "namespace detail {\n"
+       "inline void seededTrace() { std::string trail(\"check\"); }\n"
+       "} // namespace detail\n"
+       "} // namespace dewrite")]),
+    # The counter-mode kernels reach Line::operator^ only as 'a ^ b'.
+    ("operator edge", "hot-path-purity", "src/common/line.cc",
+     [("src/common/line.cc",
+       "Line::operator^(const Line &other) const\n{\n",
+       "Line::operator^(const Line &other) const\n{\n"
+       "    std::vector<std::uint64_t> seededWords(kLineSize / 8);\n")]),
+)
 
-
-def load_baseline(path: str) -> dict[str, dict[str, int]]:
-    if not os.path.isfile(path):
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle).get("findings", {})
-
-
-def write_baseline(path: str,
-                   counts: dict[str, dict[str, int]]) -> None:
-    payload = {
-        "comment": "dewrite-analyze ratchet baseline; regenerate with "
-                   "tools/dewrite_analyze.py --update-baseline. An "
-                   "empty 'findings' object means the tree proves "
-                   "clean; entries may only shrink.",
-        "findings": {rel: dict(sorted(rules.items()))
-                     for rel, rules in sorted(counts.items())},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def diff_against_baseline(
-        counts: dict[str, dict[str, int]],
-        baseline: dict[str, dict[str, int]]
-) -> list[tuple[str, str, int, int]]:
-    regressions = []
-    for rel in sorted(counts):
-        for rule in sorted(counts[rel]):
-            found = counts[rel][rule]
-            allowed = baseline.get(rel, {}).get(rule, 0)
-            if found > allowed:
-                regressions.append((rel, rule, found, allowed))
-    return regressions
-
-
-# --------------------------------------------------------------------
-# Tree collection
-# --------------------------------------------------------------------
-
-def collect_sources(only: list[str] | None = None) -> dict[str, str]:
-    """rel -> text for every src/ .cc/.hh file."""
-    files: dict[str, str] = {}
-    for pattern in ("src/**/*.cc", "src/**/*.hh"):
-        for absolute in glob.glob(os.path.join(REPO_ROOT, pattern),
-                                  recursive=True):
-            rel = os.path.relpath(absolute, REPO_ROOT) \
-                .replace(os.sep, "/")
-            if only and not any(
-                    rel == o or rel.startswith(o.rstrip("/") + "/")
-                    for o in only):
-                continue
-            with open(absolute, encoding="utf-8") as handle:
-                files[rel] = handle.read()
-    return files
-
-
-# --------------------------------------------------------------------
-# Seeded-break check over the real tree
-# --------------------------------------------------------------------
-
-SEEDED_BREAKS = [
-    ("shard-isolation", "src/cpu/core_model.cc",
-     "    now_ = issueAt(event.instGap);",
-     "    static std::uint64_t seededCrossShard = 0;\n"
-     "    now_ = issueAt(event.instGap) + ++seededCrossShard * 0;"),
-    ("hot-path-purity", "src/common/line.hh",
-     "            if (a != b)",
-     "            seededScratch.push_back(a);\n"
-     "            if (a != b)"),
-    ("layering", "src/common/line.hh",
-     "#include <array>",
-     "#include <array>\n#include \"service/dedup_service.hh\""),
-    ("determinism", "src/cpu/core_model.cc",
-     "    now_ = issueAt(event.instGap);",
-     "    now_ = issueAt(event.instGap) +\n"
-     "           static_cast<Time>(time(nullptr)) * 0;"),
-]
-
-
-#: Sentinel callees for the clang front-end teeth check. Each is a
-#: function that enters its closure *only* through member-call edges
-#: (``former_.flush``, ``fingerprinter_.fingerprint``): if MemberExpr
-#: resolution regresses, these vanish from the closure and the check
-#: fails even though the (near-empty) closure itself reports clean.
-CLANG_SENTINELS = (
+#: Callees each closure must reach through at least one call edge, so
+#: a front-end regression that shrinks the closures to their roots
+#: fails here instead of passing every rule vacuously. Each is reached
+#: only through a member call (former_.flush,
+#: fingerprinter_.fingerprint).
+SENTINELS = (
     ("shard-isolation", "BatchFormer::flush"),
     ("determinism", "BatchFormer::flush"),
     ("hot-path-purity", "Fingerprinter::fingerprint"),
 )
 
 
-def check_clang_closures(binary: str, build_dir: str,
-                         cache_dir: str) -> int:
-    """Prove the clang front-end's call graph is non-vacuous.
-
-    The seeded-break pass feeds patched sources through the internal
-    parser; the clang pipeline reads real files and a compile
-    database, so it cannot be seeded in-memory. Instead, assert that
-    each rule's closure over the *live* tree reaches a known sentinel
-    callee via at least one call edge — the property the
-    referencedMemberDecl handling exists to provide. A silent
-    regression there would shrink every closure to its roots and pass
-    the main gate while proving nothing; it fails here instead.
-    """
-    try:
-        tree = load_tree_clang(binary, build_dir, cache_dir)
-    except SystemExit as err:
-        print(err, file=sys.stderr)
-        return 2
-    graph = CallGraph(tree)
-    failures = 0
-    for rule, sentinel in CLANG_SENTINELS:
-        roots = hot_roots(tree) if rule == "hot-path-purity" \
-            else collect_roots(tree, rule)
-        if not roots:
-            print(f"error: clang front-end found no roots for {rule}",
-                  file=sys.stderr)
-            failures += 1
-            continue
-        closure = graph.reachable(roots)
-        hit = next((fn for fn in closure
-                    if fn.qname.endswith(sentinel)
-                    and len(closure[fn]) >= 2), None)
-        if hit is None:
-            print(f"error: clang {rule} closure ({len(closure)} "
-                  f"function(s) from {len(roots)} root(s)) never "
-                  f"reaches sentinel '{sentinel}' through a call "
-                  f"edge; member-call resolution has regressed",
-                  file=sys.stderr)
-            failures += 1
+def apply_edits(sources: dict[str, str],
+                edits: list[tuple[str, str | None, str]]
+                ) -> dict[str, str] | str:
+    """Patched copy of ``sources``, or an error message."""
+    patched = dict(sources)
+    for rel, anchor, text in edits:
+        if rel not in patched:
+            return f"seed file {rel} not found"
+        if anchor is None:
+            patched[rel] = patched[rel] + "\n" + text + "\n"
+        elif anchor in patched[rel]:
+            patched[rel] = patched[rel].replace(anchor, text, 1)
         else:
-            print(f"clang closure check: [{rule}] {len(closure)} "
-                  f"functions; sentinel via "
-                  f"{witness(closure[hit])}")
-    if failures:
-        return 1
-    print("dewrite_analyze clang closure check: OK "
-          f"({len(CLANG_SENTINELS)} sentinels reached)")
-    return 0
+            return f"seed anchor not found in {rel}: {anchor!r}"
+    return patched
 
 
-def check_seeded_break(frontend: str = "internal",
-                       binary: str | None = None,
-                       build_dir: str | None = None,
-                       cache_dir: str = DEFAULT_CACHE) -> int:
-    """Prove each rule still has teeth on the *real* tree: a clean
-    baseline run, then one deliberate violation per rule, each of
-    which must fail naming exactly that rule. With the clang
-    front-end selected, additionally prove the clang call graph is
-    non-vacuous (see check_clang_closures)."""
+def check_seeded_break() -> int:
+    """Prove each rule and both synthetic edge kinds still have teeth
+    on the live tree: a clean run, then every seed in SEEDS must fail
+    with exactly its rule, at its file; then every SENTINELS callee
+    must sit inside its closure."""
     sources = collect_sources()
-    clean = analyze(load_tree_internal(sources), require_roots=True)
+    tree = load_tree(sources)
+    clean = analyze(tree)
     if clean:
-        for row in clean:
-            print(f"{row[0]}:{row[1]}: [{row[2]}] {row[3]}",
-                  file=sys.stderr)
+        report(clean)
         print("error: tree is not clean before seeding; fix the "
               "findings above first", file=sys.stderr)
         return 1
-    for rule, rel, anchor, replacement in SEEDED_BREAKS:
-        if rel not in sources or anchor not in sources[rel]:
-            print(f"error: seeded-break anchor for {rule} not found "
-                  f"in {rel}; update SEEDED_BREAKS in "
+    for label, rule, where, edits in SEEDS:
+        patched = apply_edits(sources, edits)
+        if isinstance(patched, str):
+            print(f"error: {label}: {patched}; update SEEDS in "
                   "tools/dewrite_analyze.py", file=sys.stderr)
             return 1
-        patched = dict(sources)
-        patched[rel] = sources[rel].replace(anchor, replacement, 1)
-        rows = analyze(load_tree_internal(patched))
+        rows = analyze(load_tree(patched, reuse=tree))
         fired = {row[2] for row in rows}
-        if rule not in fired:
-            print(f"error: deliberately breaking {rule} in {rel} was "
-                  f"NOT caught (fired: {sorted(fired) or 'nothing'})",
+        if fired != {rule} or not any(row[0] == where for row in rows):
+            report(rows)
+            print(f"error: seed '{label}' should fail [{rule}] in "
+                  f"{where} and nothing else; fired: "
+                  f"{sorted(fired) or 'nothing'}", file=sys.stderr)
+            return 1
+        print(f"seeded break caught: [{rule}] in {where} ({label})")
+    graph = CallGraph(tree)
+    for rule, sentinel in SENTINELS:
+        roots = collect_roots(tree, rule)
+        closure = graph.reachable(roots)
+        hit = next((fn for fn, path in closure.items()
+                    if fn.qname.endswith(sentinel) and len(path) >= 2),
+                   None)
+        if hit is None:
+            print(f"error: the {rule} closure ({len(closure)} functions "
+                  f"from {len(roots)} roots) never reaches '{sentinel}' "
+                  "through a call edge; call resolution has regressed",
                   file=sys.stderr)
             return 1
-        print(f"seeded break caught: [{rule}] via {rel}")
-    print("dewrite_analyze seeded-break check: OK "
-          f"({len(SEEDED_BREAKS)} rules verified against the live "
-          "tree)")
-    if frontend == "clang" and binary is not None:
-        return check_clang_closures(
-            binary, build_dir or os.path.join(REPO_ROOT, "build"),
-            cache_dir)
+        print(f"sentinel reached: [{rule}] {len(closure)} functions; "
+              f"{witness(closure[hit])}")
+    print(f"dewrite_analyze seeded-break check: OK ({len(SEEDS)} seeds, "
+          f"{len(SENTINELS)} sentinels)")
     return 0
 
 
 # --------------------------------------------------------------------
-# Self-test (synthetic mini-tree; no clang, no repo access)
+# Self-test (synthetic files; no repo access)
 # --------------------------------------------------------------------
 
 MINI_COMMON = """\
@@ -1391,7 +1171,7 @@ class ShardCore {
     // dewrite-analyze: root(determinism)
     void drain() {
         touchGlobal();
-        auto t = time(nullptr);
+        auto t = steady_clock::now();
         table.forEach([](int k) {});
     }
     void touchGlobal() {
@@ -1412,10 +1192,44 @@ struct System {
 } // namespace dewrite
 """
 
+MINI_ENV = """\
+namespace dewrite {
+const std::vector<const char *> &
+knownKnobs()
+{
+    // "DEWRITE_IN_A_COMMENT" is not a knob
+    static const std::vector<const char *> knobs = {
+        "DEWRITE_AUDIT",
+        "DEWRITE_AUDIT_EPOCH",
+        "DEWRITE_THREADS",
+    };
+    return knobs;
+}
+} // namespace dewrite
+"""
+
+
+def mini_tree(overrides: dict[str, str] | None = None) -> Tree:
+    """The synthetic tree with files replaced or added from
+    ``overrides``; as written it violates every call-graph rule."""
+    files = {"src/common/util.hh": MINI_COMMON,
+             "src/service/shard_core.hh": MINI_SERVICE,
+             "src/sim/system.hh": MINI_SIM,
+             KNOB_FILE: MINI_ENV}
+    files.update(overrides or {})
+    return load_tree(files)
+
+
+def lex(rel: str, text: str) -> list[tuple[int, str]]:
+    """(line, rule) rows of the lexical rules on one synthetic file."""
+    knobs = known_knobs(load_tree({KNOB_FILE: MINI_ENV}))
+    return sorted((row[1], row[2])
+                  for row in rule_lexical(parse_file(rel, text), knobs))
+
 
 def self_test() -> int:
-    # --- internal parser: qualified names, methods, spans, calls ---
-    ir = parse_file_internal("src/service/x.cc", "\n".join([
+    # --- front-end: qualified names, methods, spans, calls ---
+    ir = parse_file("src/service/x.cc", "\n".join([
         "namespace dewrite {",
         "void",
         "ShardCore::flush(BatchFormer::FlushReason reason)",
@@ -1441,7 +1255,7 @@ def self_test() -> int:
     assert ".flush" in flush.calls and ".data" in flush.calls
 
     # Control-flow parens and initializer braces are not functions.
-    ir = parse_file_internal("src/common/y.cc", "\n".join([
+    ir = parse_file("src/common/y.cc", "\n".join([
         "int values[] = { 1, 2, 3 };",
         "void fn() {",
         "    if (values[0]) {",
@@ -1454,9 +1268,17 @@ def self_test() -> int:
     assert [(gv.name, gv.owner) for gv in ir.globals] == \
         [("values", None)], [(g.name, g.owner) for g in ir.globals]
 
+    # A C++17 nested namespace definition qualifies its functions and
+    # keeps its variables at namespace scope.
+    ir = parse_file("src/obs/n.cc",
+                    "namespace dewrite::obs {\nint hits;\n"
+                    "void bump() { ++hits; }\n}")
+    assert [fn.qname for fn in ir.functions] == ["dewrite::obs::bump"]
+    assert [gv.name for gv in ir.globals] == ["hits"]
+
     # Static locals are attributed to their function; const ones are
     # not mutable state.
-    ir = parse_file_internal("src/common/z.hh", "\n".join([
+    ir = parse_file("src/common/z.hh", "\n".join([
         "inline int counter() {",
         "    static int hits = 0;",
         "    static const int limit = 9;",
@@ -1466,13 +1288,16 @@ def self_test() -> int:
     assert [(gv.name, gv.owner) for gv in ir.globals] == \
         [("hits", "counter")], [(g.name, g.owner) for g in ir.globals]
 
-    # --- the four rules on the synthetic mini-tree ---
-    tree = load_tree_internal({
-        "src/common/util.hh": MINI_COMMON,
-        "src/service/shard_core.hh": MINI_SERVICE,
-        "src/sim/system.hh": MINI_SIM,
-    })
-    rows = analyze(tree, require_roots=True)
+    # Multi-line function-like macros record the calls they make.
+    assert parse_macros(strip_code([
+        "#define CHECKED(cond, ...)   \\",
+        "    do { if (!(cond)) report(#cond, __VA_ARGS__); } \\",
+        "    while (false)",
+        "#define OBJECT_LIKE 1",
+    ])) == {"CHECKED": ["report", ".operator()"]}
+
+    # --- the four call-graph rules on the synthetic tree ---
+    rows = analyze(mini_tree())
     by_rule: dict[str, list[Finding]] = {}
     for row in rows:
         by_rule.setdefault(row[2], []).append(row)
@@ -1501,25 +1326,29 @@ def self_test() -> int:
                    for row in lay), rows
 
     # determinism: the wall-clock read and the unannotated forEach in
-    # the drain root both fire.
+    # the drain root both fire. The forEach is also a lexical finding.
     det = by_rule.get("determinism", [])
     assert any("wall-clock" in row[3] for row in det), rows
     assert any("forEach" in row[3] for row in det), rows
+    assert set(by_rule) == {"shard-isolation", "hot-path-purity",
+                            "layering", "determinism",
+                            "unsorted-iteration"}, rows
 
-    # --- suppressions and the catalogue of PR 4 sites ---
+    # --- suppressions: either prefix, own-line or trailing ---
     fixed = MINI_SERVICE \
-        .replace("        auto t = time(nullptr);",
+        .replace("        auto t = steady_clock::now();",
                  "        // dewrite-analyze: allow(determinism) host\n"
-                 "        auto t = time(nullptr);") \
+                 "        auto t = steady_clock::now();") \
         .replace("        table.forEach([](int k) {});",
                  "        // dewrite-lint: allow(unsorted-iteration)\n"
+                 "        // the reason may wrap onto a second line\n"
                  "        table.forEach([](int k) {});") \
         .replace("        static int drained = 0;",
                  "        // dewrite-owned: shard\n"
                  "        static int drained = 0;") \
         .replace("        sharedCounter += 1;",
-                 "        // dewrite-analyze: allow(shard-isolation)\n"
-                 "        sharedCounter += 1;")
+                 "        sharedCounter += 1; "
+                 "// dewrite-analyze: allow(shard-isolation)")
     fixed_sim = MINI_SIM.replace(
         "#include \"service/shard_core.hh\"",
         "// dewrite-analyze: allow(layering) seeded test\n"
@@ -1528,114 +1357,151 @@ def self_test() -> int:
         "    scratch.push_back(x);",
         "    // dewrite-analyze: allow(hot-path-purity) fixed-cap\n"
         "    scratch.push_back(x);")
-    rows = analyze(load_tree_internal({
-        "src/common/util.hh": clean_common,
-        "src/service/shard_core.hh": fixed,
-        "src/sim/system.hh": fixed_sim,
-    }), require_roots=True)
-    assert rows == [], rows
+    clean = {"src/common/util.hh": clean_common,
+             "src/service/shard_core.hh": fixed,
+             "src/sim/system.hh": fixed_sim}
+    assert analyze(mini_tree(clean)) == []
 
-    # Deleting every root annotation must NOT pass silently.
-    rows = analyze(load_tree_internal({
-        "src/common/util.hh": clean_common,
-        "src/service/shard_core.hh":
-            fixed.replace("// dewrite-analyze: root(shard-isolation)",
-                          "")
-                 .replace("// dewrite-analyze: root(determinism)", ""),
-        "src/sim/system.hh": fixed_sim,
-    }), require_roots=True)
+    # Deleting every root and hot annotation must NOT pass silently.
+    rootless = dict(clean)
+    rootless["src/service/shard_core.hh"] = fixed \
+        .replace("// dewrite-analyze: root(shard-isolation)", "") \
+        .replace("// dewrite-analyze: root(determinism)", "")
+    rootless["src/common/util.hh"] = clean_common.replace(
+        "// dewrite-lint: hot", "")
+    rows = analyze(mini_tree(rootless))
     assert {row[2] for row in rows} == {"shard-isolation",
+                                        "hot-path-purity",
                                         "determinism"}, rows
     assert all("vacuously" in row[3] for row in rows), rows
 
-    # Unknown rule names in annotations are themselves findings.
-    rows = analyze(load_tree_internal({
-        "src/common/a.hh": "// dewrite-analyze: allow(no-such-rule)\n",
-    }))
-    assert [(row[2], "no-such-rule" in row[3]) for row in rows] == \
-        [("unknown-rule", True)], rows
-
-    # --- baseline ratchet ---
-    counts = count_findings([
-        ("src/a.cc", 3, "layering", "m"),
-        ("src/a.cc", 9, "layering", "m"),
-        ("src/b.cc", 1, "determinism", "m"),
+    # --- the two edge kinds the parser cannot see as calls ---
+    # A hot kernel reaches an allocation through a macro chain (the
+    # DEWRITE_DCHECK -> DEWRITE_CHECK shape) and through an operator
+    # use; neither 'report' nor 'operator==' is written as a call.
+    edges = dict(clean)
+    edges["src/common/check.hh"] = "\n".join([
+        "#define OUTER(c) INNER(c)",
+        "#define INNER(c) do { if (!(c)) ::dewrite::report(); } "
+        "while (0)",
+        "namespace dewrite {",
+        "inline void report() { std::string text(\"failed\"); }",
+        "struct Key {",
+        "    bool operator==(const Key &o) const {",
+        "        return std::vector<int>(4) == o.v;",
+        "    }",
+        "};",
+        "// dewrite-lint: hot",
+        "inline void viaMacro(int c) { OUTER(c); }",
+        "// dewrite-lint: hot",
+        "inline bool viaOperator(Key a, Key b) { return a != b; }",
+        "} // namespace dewrite",
     ])
-    assert counts == {"src/a.cc": {"layering": 2},
-                      "src/b.cc": {"determinism": 1}}
-    regress = diff_against_baseline(counts,
-                                    {"src/a.cc": {"layering": 2}})
-    assert regress == [("src/b.cc", "determinism", 1, 0)], regress
-    assert diff_against_baseline(
-        counts, {"src/a.cc": {"layering": 2},
-                 "src/b.cc": {"determinism": 1}}) == []
+    rows = analyze(mini_tree(edges))
+    assert [(row[1], row[2]) for row in rows] == [
+        (4, "hot-path-purity"), (7, "hot-path-purity")], rows
+    assert "viaMacro -> dewrite::report" in rows[0][3], rows
+    assert "viaOperator -> dewrite::Key::operator==" in rows[1][3], rows
 
-    # --- clang front-end plumbing on canned data ---
-    cmd = ast_dump_command({
-        "directory": "/b",
-        "command": "g++ -O2 -Iinclude -c src/x.cc -o x.o",
-        "file": "src/x.cc"})
-    assert "-c" not in cmd and "-o" not in cmd and "x.o" not in cmd
-    assert cmd[-1] == "-ast-dump=json" and "-fsyntax-only" in cmd
+    # Allocation shapes are values and temporaries, not bindings.
+    for text in ("std::string s;", "f(std::string(p));",
+                 "auto v = std::vector<int>{};", "std::deque<Line> q;"):
+        assert ALLOC_RE.search(text), text
+    for text in ("const std::string &s", "std::string_view v",
+                 "std::vector<int> *p", "n == std::string::npos"):
+        assert not ALLOC_RE.search(text), text
 
-    walker = _AstWalker("/repo")
-    walker.walk({
-        "id": "0x1", "kind": "TranslationUnitDecl", "inner": [
-            {"id": "0x10", "kind": "NamespaceDecl", "name": "dewrite",
-             "loc": {"file": "/repo/src/service/shard_core.cc",
-                     "line": 1},
-             "inner": [
-                 {"id": "0x20", "kind": "CXXRecordDecl",
-                  "name": "ShardCore",
-                  "inner": [
-                      {"id": "0x30", "kind": "CXXMethodDecl",
-                       "name": "flush", "loc": {"line": 5}},
-                      {"id": "0x50", "kind": "CXXMethodDecl",
-                       "name": "stage", "loc": {"line": 6}}]},
-                 {"id": "0x40", "kind": "CXXMethodDecl",
-                  "name": "flush",
-                  "parentDeclContextId": "0x20",
-                  "loc": {"line": 12},
-                  "range": {"begin": {}, "end": {"line": 20}},
-                  "inner": [
-                      {"kind": "CompoundStmt", "inner": [
-                          {"kind": "DeclRefExpr",
-                           "referencedDecl": {
-                               "id": "0x99", "kind": "FunctionDecl",
-                               "name": "helper"}},
-                          # Member call: CXXMemberCallExpr ->
-                          # MemberExpr with a bare hex id, the shape
-                          # referencedDecl handling never sees.
-                          {"kind": "CXXMemberCallExpr", "inner": [
-                              {"kind": "MemberExpr", "name": "stage",
-                               "referencedMemberDecl": "0x50"}]},
-                          # Unresolvable member id (dependent member)
-                          # falls back to the spelled name.
-                          {"kind": "MemberExpr", "name": "commit",
-                           "referencedMemberDecl": "0xdead"},
-                          {"kind": "VarDecl", "name": "leak",
-                           "storageClass": "static",
-                           "type": {"qualType": "int"}},
-                      ]}]},
-             ]}]}, [])
-    fns = [fn for fn, _ in walker.functions]
-    assert len(fns) == 1 and fns[0].qname == "dewrite::ShardCore::flush"
-    assert fns[0].line == 12 and fns[0].end_line == 20
-    assert "helper" in fns[0].calls
-    # Member calls resolve through decl_names to the qualified method
-    # (plus the bare name for virtual dispatch); unresolved ids keep
-    # the spelled name so the closure stays over-approximate.
-    assert "dewrite::ShardCore::stage" in fns[0].calls, fns[0].calls
-    assert "stage" in fns[0].calls, fns[0].calls
-    assert "commit" in fns[0].calls, fns[0].calls
-    assert [(gv.name, gv.owner) for gv in walker.globals] == \
-        [("leak", "dewrite::ShardCore::flush")], walker.globals
+    # Unknown rule names, non-root rules in root(), and a hot
+    # annotation inside a body are findings.
+    rows = analyze(mini_tree({**clean, "src/common/a.hh": "\n".join([
+        "// dewrite-analyze: allow(no-such-rule)",
+        "// dewrite-lint: root(layering)",
+        "inline int cold(int x)",
+        "{",
+        "    // dewrite-lint: hot",
+        "    return x;",
+        "}",
+    ])}))
+    assert [(row[1], row[2]) for row in rows] == [
+        (1, "annotation"), (2, "annotation"), (5, "annotation")], rows
+    assert "'no-such-rule'" in rows[0][3] and "'layering'" in rows[1][3] \
+        and "body of cold" in rows[2][3], rows
 
-    # Stateful location tracking: 'file' omitted means unchanged.
-    walker = _AstWalker("/repo")
-    walker._loc({"loc": {"file": "/repo/src/a.cc", "line": 3}})
-    assert walker._loc({"loc": {"col": 2}}) == ("/repo/src/a.cc", 3)
-    assert walker._loc({"loc": {"line": 9}}) == ("/repo/src/a.cc", 9)
+    # --- the lexical rules ---
+    seeded = "\n".join([
+        "#include <unordered_map>",
+        "std::unordered_map<int, int> m;",          # container   (2)
+        "int r = rand();",                          # nondet      (3)
+        "auto t = time(nullptr);",                  # nondet      (4)
+        "std::hash<Foo *> h;",                      # nondet      (5)
+        "table.forEach([](auto k, auto v) {});",    # unsorted    (6)
+        "const char *e = std::getenv(\"DEWRITE_X\");",  # funnel   (7)
+        "const char *f = envRaw(\"DEWRITE_Y\");",   # fail-fast   (8)
+        "// std::unordered_set<int> in a comment is fine",
+        "const char *s = \"rand( in a string is fine\";",
+        "std::uint64_t n = envUint(\"DEWRITE_THRAEDS\", 1, 1, 8);",
+        "std::uint64_t k = envUint(\"DEWRITE_THREADS\", 1, 1, 64);",
+        "assert(x > 0);",                           # raw assert (13)
+        "static_assert(sizeof(int) == 4, \"x\");",  # NOT raw: ok
+        "DEWRITE_CHECK(x > 0, \"x\");",             # NOT raw: ok
+    ])
+    assert lex("src/seeded.cc", seeded) == [
+        (2, "no-std-hash-container"),
+        (3, "no-nondeterminism"),
+        (4, "no-nondeterminism"),
+        (5, "no-nondeterminism"),
+        (6, "unsorted-iteration"),
+        (7, "env-getenv-funnel"),
+        (7, "env-knob-registry"),   # DEWRITE_X is not a knob
+        (8, "env-fail-fast"),
+        (8, "env-knob-registry"),   # neither is DEWRITE_Y
+        (11, "env-knob-registry"),  # the typo'd DEWRITE_THRAEDS
+        (13, "no-raw-assert"),
+    ], lex("src/seeded.cc", seeded)
+
+    # Own-line and trailing allow() suppress; allow-file suppresses
+    # everywhere.
+    assert lex("src/suppressed.cc", "\n".join([
+        "// dewrite-lint: allow-file(no-nondeterminism)",
+        "int r = rand();",
+        "// dewrite-lint: allow(unsorted-iteration) stats dump only",
+        "table.forEach([](auto k, auto v) {});",
+        "m.forEach(f); // dewrite-analyze: allow(unsorted-iteration)",
+    ])) == []
+
+    # Scope: containers are legal in tests/ and bench/, getenv is not
+    # legal in tests/, and the env funnel itself may call getenv.
+    assert lex("tests/oracle.cc", "std::unordered_map<int, int> m;") == []
+    assert lex("bench/oracle.cc", "std::unordered_set<int> s;") == []
+    assert lex("tests/sneaky.cc", "getenv(\"PATH\");") != []
+    assert lex("src/common/env.cc", "std::getenv(n);") == []
+    assert lex("src/x.cc", "m.forEachSorted(f);") == []
+    assert lex("tests/t.cc", "assert(ok);") == []
+    assert lex("src/x.cc", "checker.assert(ok);") == []
+
+    # env-knob-registry reads the catalogue from knownKnobs() (quoted
+    # names in comments do not count), applies in tests/ too, honours
+    # allow(), ignores calls inside comments, and exempts the env unit
+    # test's fixture variable.
+    assert known_knobs(load_tree({KNOB_FILE: MINI_ENV})) == {
+        "DEWRITE_AUDIT", "DEWRITE_AUDIT_EPOCH", "DEWRITE_THREADS"}
+    assert known_knobs(load_tree({KNOB_FILE: "int x;"})) is None
+    assert lex("tests/t.cc", "setenv(\"DEWRITE_AUDIT\", \"1\", 1);") == []
+    assert lex("tests/t.cc", "setenv(\"DEWRITE_BOGUS\", \"1\", 1);") == \
+        [(1, "env-knob-registry")]
+    assert lex("tests/t.cc",
+               "// dewrite-lint: allow(env-knob-registry) fixture\n"
+               "setenv(\"DEWRITE_BOGUS\", \"1\", 1);") == []
+    assert lex("tests/t.cc", "// envUint(\"DEWRITE_BOGUS\")") == []
+    assert lex("tests/common/env_test.cc",
+               "setenv(\"DEWRITE_ENV_TEST_VAR\", \"1\", 1);") == []
+    assert lex("src/t.cc", "envUint(\"DEWRITE_AUDIT_EPOH\", 1, 1, 8);") \
+        == [(1, "env-knob-registry")]
+
+    # A tree without the catalogue fails loudly instead of passing.
+    rows = analyze(mini_tree({**clean, KNOB_FILE: "int x;"}))
+    assert [(row[0], row[2]) for row in rows] == \
+        [(KNOB_FILE, "env-knob-registry")], rows
 
     print("dewrite_analyze self-test: OK")
     return 0
@@ -1645,142 +1511,55 @@ def self_test() -> int:
 # CLI
 # --------------------------------------------------------------------
 
+def report(findings: list[Finding]) -> None:
+    for rel, line, rule, message in findings:
+        print(f"{rel}:{line}: [{rule}] {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=__doc__.split("\n", 1)[1])
     parser.add_argument("paths", nargs="*",
-                        help="restrict analysis scope to these "
-                             "repo-relative files or directories "
-                             "(call graph is still whole-tree)")
-    parser.add_argument("--build-dir",
-                        default=os.path.join(REPO_ROOT, "build"),
-                        help="build tree holding compile_commands.json "
-                             "(clang front-end; default: %(default)s)")
-    parser.add_argument("--frontend",
-                        choices=("auto", "clang", "internal"),
-                        default="auto",
-                        help="AST source (default: auto = clang if "
-                             "installed, else the built-in parser)")
-    parser.add_argument("--clang", default=None,
-                        help="clang binary (default: $CLANG or the "
-                             "newest clang++[-N] on PATH)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE,
-                        help="AST dump cache (default: %(default)s)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="ratchet baseline (default: %(default)s)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run")
-    parser.add_argument("--require", action="store_true",
-                        help="fail (exit 3) if the clang front-end "
-                             "was requested but no binary exists")
-    parser.add_argument("--report", default=None,
-                        help="write a JSON analysis report here")
-    parser.add_argument("--rule", action="append", dest="rules",
-                        choices=RULE_NAMES,
-                        help="run only this rule (repeatable)")
+                        help="report only findings in these repo-relative "
+                             "files or directories (the analysis stays "
+                             "whole-tree)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the synthetic-tree self-test")
+                        help="run the synthetic-file self-test")
     parser.add_argument("--check-seeded-break", action="store_true",
                         help="verify each rule catches a deliberate "
-                             "violation seeded into the real tree")
+                             "violation seeded into the live tree")
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        doc = __doc__.split("Front-ends")[0]
-        print(doc.split("\n", 6)[-1].rstrip())
+        print(__doc__[__doc__.index("Lexical rules"):
+                      __doc__.index("\nCall graph\n")].rstrip())
         return 0
     if args.self_test:
         return self_test()
-
-    frontend = args.frontend
-    binary = find_clang(args.clang)
-    if frontend == "auto":
-        frontend = "clang" if binary else "internal"
-    if frontend == "clang" and binary is None:
-        if args.require:
-            print("error: clang not found and --require given",
-                  file=sys.stderr)
-            return 3
-        if args.check_seeded_break:
-            print("dewrite_analyze: clang not installed; seeded-break "
-                  "check runs on the internal front-end only")
-            frontend = "internal"
-        else:
-            print("dewrite_analyze: clang not installed; skipping the "
-                  "AST front-end (use --frontend internal for the "
-                  "built-in parser; CI uses --require)")
-            return 0
-
     if args.check_seeded_break:
-        return check_seeded_break(frontend, binary, args.build_dir,
-                                  args.cache_dir)
+        return check_seeded_break()
 
-    if frontend == "clang":
-        try:
-            tree = load_tree_clang(binary, args.build_dir,
-                                   args.cache_dir)
-        except SystemExit as err:
-            print(err, file=sys.stderr)
-            return 2
-    else:
-        tree = load_tree_internal(collect_sources())
-    if not tree.files:
+    tree = load_tree(collect_sources())
+    if not any(rel.startswith("src/") for rel in tree.files):
         print("error: no src/ sources found", file=sys.stderr)
         return 2
-
-    rules = tuple(args.rules) if args.rules else RULE_NAMES
-    findings = analyze(tree, rules, require_roots=not args.paths)
-    if args.paths:
-        scoped = set()
-        for only in args.paths:
-            scoped.add(only.rstrip("/"))
-        findings = [row for row in findings
-                    if any(row[0] == o or row[0].startswith(o + "/")
-                           for o in scoped)]
-
-    if args.report:
-        payload = {
-            "frontend": frontend,
-            "files": len(tree.files),
-            "functions": len(tree.all_functions()),
-            "mutable_statics": len(tree.all_globals()),
-            "rules": list(rules),
-            "findings": [
-                {"file": rel, "line": line, "rule": rule,
-                 "message": message}
-                for rel, line, rule, message in findings],
-        }
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-
-    counts = count_findings(findings)
-    if args.update_baseline:
-        write_baseline(args.baseline, counts)
-        total = sum(sum(c.values()) for c in counts.values())
-        print(f"baseline updated: {total} finding(s) -> "
-              f"{args.baseline}")
-        return 0
-
-    regressions = diff_against_baseline(counts,
-                                        load_baseline(args.baseline))
-    if regressions:
-        shown = {(rel, rule) for rel, rule, _f, _a in regressions}
-        for rel, line, rule, message in findings:
-            if (rel, rule) in shown:
-                print(f"{rel}:{line}: [{rule}] {message}",
-                      file=sys.stderr)
-        print(f"\ndewrite-analyze: {len(regressions)} finding "
-              f"class(es) over the baseline", file=sys.stderr)
+    findings = [row for row in analyze(tree)
+                if not args.paths or any(
+                    row[0] == only.rstrip("/")
+                    or row[0].startswith(only.rstrip("/") + "/")
+                    for only in args.paths)]
+    if findings:
+        report(findings)
+        print(f"\ndewrite-analyze: {len(findings)} finding(s)",
+              file=sys.stderr)
         return 1
-    print(f"dewrite-analyze clean ({frontend} front-end): "
-          f"{len(tree.files)} files, "
+    print(f"dewrite-analyze clean: {len(tree.files)} files, "
           f"{len(tree.all_functions())} functions, "
-          f"{len(rules)} rules")
+          f"{len(RULE_NAMES)} rules")
     return 0
 
 

@@ -2,14 +2,8 @@
 """clang-tidy wall driver.
 
 Runs clang-tidy (configured by the repo-root ``.clang-tidy``) over every
-translation unit listed in ``compile_commands.json`` and gates the result
-against a checked-in baseline (``tools/clang_tidy_baseline.json``).
-
-The gate is *ratchet-only*: a finding is fatal unless the baseline
-already records at least as many findings of that check in that file.
-Fixing findings and shrinking the baseline is always safe; introducing a
-new finding fails the run.  Regenerate the baseline after legitimate
-fixes with ``--update-baseline``.
+translation unit listed in ``compile_commands.json``. Any finding in a
+repo file fails the run: fix it, or NOLINT(check) it with the reason.
 
 When clang-tidy is not installed the driver prints a notice and exits 0
 so local workflows on minimal containers keep working; CI passes
@@ -17,7 +11,7 @@ so local workflows on minimal containers keep working; CI passes
 
 Exit codes:
   0  clean (or tool skipped because clang-tidy is absent)
-  1  new findings over the baseline, or a TU failed to parse
+  1  findings, or a TU failed to parse
   2  usage / environment error (bad build dir, missing compile DB)
   3  clang-tidy binary required (--require) but not found
 """
@@ -34,8 +28,6 @@ import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_BASELINE = os.path.join(REPO_ROOT, "tools",
-                                "clang_tidy_baseline.json")
 
 #: Directories (repo-relative) whose TUs are subject to the wall.
 SOURCE_DIRS = ("src", "tests", "bench", "examples")
@@ -134,55 +126,6 @@ def parse_diagnostics(output: str) -> list[tuple[str, int, str, str]]:
     return rows
 
 
-def count_findings(
-        rows: list[tuple[str, int, str, str]]) -> dict[str, dict[str, int]]:
-    counts: dict[str, dict[str, int]] = {}
-    for rel, _line, check, _message in rows:
-        counts.setdefault(rel, {})[check] = \
-            counts.get(rel, {}).get(check, 0) + 1
-    return counts
-
-
-def load_baseline(path: str) -> dict[str, dict[str, int]]:
-    if not os.path.isfile(path):
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    return data.get("findings", {})
-
-
-def write_baseline(path: str,
-                   counts: dict[str, dict[str, int]]) -> None:
-    payload = {
-        "comment": "clang-tidy ratchet baseline; regenerate with "
-                   "tools/run_clang_tidy.py --update-baseline. Entries "
-                   "may only shrink — new findings must be fixed or "
-                   "NOLINT'd with a reason.",
-        "findings": {
-            rel: dict(sorted(checks.items()))
-            for rel, checks in sorted(counts.items())
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def diff_against_baseline(
-        counts: dict[str, dict[str, int]],
-        baseline: dict[str, dict[str, int]]
-) -> list[tuple[str, str, int, int]]:
-    """(file, check, found, allowed) rows where found > allowed."""
-    regressions = []
-    for rel in sorted(counts):
-        for check in sorted(counts[rel]):
-            found = counts[rel][check]
-            allowed = baseline.get(rel, {}).get(check, 0)
-            if found > allowed:
-                regressions.append((rel, check, found, allowed))
-    return regressions
-
-
 def run_one(binary: str, build_dir: str, absolute: str,
             extra_args: list[str]) -> tuple[str, int, str]:
     cmd = [binary, "-p", build_dir, "--quiet", *extra_args, absolute]
@@ -192,7 +135,7 @@ def run_one(binary: str, build_dir: str, absolute: str,
 
 
 def self_test() -> int:
-    """Exercise the parser and ratchet logic on canned data."""
+    """Exercise the diagnostic parser on canned data."""
     canned = "\n".join([
         f"{REPO_ROOT}/src/dedup/hash_store.cc:41:9: warning: use nullptr"
         " [modernize-use-nullptr]",
@@ -216,22 +159,6 @@ def self_test() -> int:
     ]
     assert rows == expect_rows, f"parser mismatch: {rows}"
 
-    counts = count_findings(rows)
-    assert counts["src/sim/system.cc"]["bugprone-foo"] == 2
-
-    # A seeded regression must be caught ...
-    baseline = {"src/sim/system.cc": {"bugprone-foo": 1}}
-    regressions = diff_against_baseline(counts, baseline)
-    assert ("src/sim/system.cc", "bugprone-foo", 2, 1) in regressions
-    assert ("src/dedup/hash_store.cc", "modernize-use-nullptr", 1, 0) \
-        in regressions
-    # ... and a covering baseline must suppress everything.
-    covering = {
-        "src/dedup/hash_store.cc": {"modernize-use-nullptr": 1},
-        "src/sim/system.cc": {"bugprone-foo": 2, "performance-bar": 1},
-    }
-    assert diff_against_baseline(counts, covering) == []
-
     print("run_clang_tidy self-test: OK")
     return 0
 
@@ -251,12 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clang-tidy", default=None,
                         help="clang-tidy binary (default: $CLANG_TIDY "
                              "or the newest clang-tidy[-N] on PATH)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="ratchet baseline file "
-                             "(default: %(default)s)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run's "
-                             "findings instead of gating")
     parser.add_argument("--require", action="store_true",
                         help="fail (exit 3) if clang-tidy is not "
                              "installed instead of skipping")
@@ -265,8 +186,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="parallel clang-tidy processes "
                              "(default: %(default)s)")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the built-in parser/ratchet self-test "
-                             "and exit")
+                        help="run the built-in parser self-test and "
+                             "exit")
     args = parser.parse_args(argv)
 
     if args.self_test:
@@ -307,10 +228,8 @@ def main(argv: list[str] | None = None) -> int:
             absolute, returncode, output = future.result()
             rows = parse_diagnostics(output)
             all_rows.extend(rows)
-            # clang-tidy exits non-zero for WarningsAsErrors findings
-            # (handled by the ratchet) — but a run that produced no
-            # parseable diagnostics yet failed means the TU itself
-            # didn't compile under clang.
+            # A failed run with no parseable diagnostics means the TU
+            # itself did not compile under clang.
             if returncode != 0 and not rows:
                 hard_failures.append((absolute, output.strip()))
 
@@ -320,39 +239,13 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         return 1
 
-    counts = count_findings(all_rows)
-    if args.update_baseline:
-        write_baseline(args.baseline, counts)
-        total = sum(sum(c.values()) for c in counts.values())
-        print(f"baseline updated: {total} findings in "
-              f"{len(counts)} files -> {args.baseline}")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    regressions = diff_against_baseline(counts, baseline)
-    if regressions:
-        print(f"\n{len(regressions)} finding(s) over the baseline:",
-              file=sys.stderr)
-        shown = {(rel, check) for rel, check, _f, _a in regressions}
+    if all_rows:
         for rel, line, check, message in sorted(all_rows):
-            if (rel, check) in shown:
-                print(f"  {rel}:{line}: {message} [{check}]",
-                      file=sys.stderr)
-        print("\nFix the findings (preferred), NOLINT(check) with a "
-              "reason, or run --update-baseline if they are accepted "
-              "debt.", file=sys.stderr)
+            print(f"  {rel}:{line}: {message} [{check}]", file=sys.stderr)
+        print(f"\n{len(all_rows)} clang-tidy finding(s); fix them or "
+              "NOLINT(check) them with a reason.", file=sys.stderr)
         return 1
-
-    stale = [(rel, check)
-             for rel, checks in baseline.items()
-             for check in checks
-             if counts.get(rel, {}).get(check, 0) < checks[check]]
-    if stale:
-        print(f"note: {len(stale)} baseline entries are stale (fixed); "
-              "run --update-baseline to ratchet down")
-    total = sum(sum(c.values()) for c in counts.values())
-    print(f"clang-tidy wall clean: {total} findings, all within "
-          "baseline")
+    print("clang-tidy wall clean")
     return 0
 
 
